@@ -18,7 +18,7 @@ from .data import (ParseError, ReturnSeries, TwoRegimeSpec, load_csv,
 from .garch import GarchFitError, GarchParams, fit_garch, simulate_garch
 from .gradients import finite_diff_check, nonlinear_node_mask
 from .harness import ModelFileError, render_report, run_benchmark, save_model
-from .network import RmdnConfig, init_params, initial_state, unroll
+from .network import RmdnConfig, forward_pass, init_params, initial_state
 from .optim import TrainSchedule, classify_convergence, train
 
 
@@ -185,8 +185,8 @@ def _cmd_fit(args) -> int:
         f"status={report.status} epochs={report.epochs_completed}"
     )
     if args.save:
-        _, final_state = unroll(series, report.final_params, config,
-                                initial_state(series, config))
+        final_state = forward_pass(series.values, report.final_params, config,
+                                   initial_state(series, config)).final_state
         save_model(report.final_params, config, final_state, args.save)
         print(f"model written to {args.save}")
     return 0

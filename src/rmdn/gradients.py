@@ -1,11 +1,14 @@
 """Exact reverse-mode gradients of the unrolled negative log-likelihood.
 
-The loss couples time steps through two recurrent paths: each component's
-predicted variance feeds the next step's variance network, and the squared
-residual e2_t = (r_t - mubar_t)^2 (which depends on the step's weights and
-means) does the same. The backward pass runs the adjoint recursion over
-those two carriers; everything else (mixing and mean networks, the loss
-itself) is vectorized over time.
+Time steps are coupled through each component's predicted variance, which
+feeds the next step's variance network. The squared residual
+e2_t = (r_t - mubar_t)^2 feeds it too, but e2_t depends only on the mixing
+and mean networks, which do not recur, so its adjoint at step t is a
+function of step t+1 alone. The backward pass therefore carries one scalar
+per component, d loss / d z_{t,i} for the variance pre-activation z, in N
+independent loops over Python floats; everything else (mixing and mean
+networks, the squared-residual path, the loss itself) is vectorized over
+time.
 
 Two stability details:
   * the loss gradient is taken with respect to the mixing logits directly,
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixture import LOG_2PI, _as_values, nll_arrays
+from .mixture import _as_values, log_joint, nll_arrays
 from .network import RecurrentState, RmdnConfig, RmdnParams, forward_pass
 
 # Flat vector layout, in order (pinned linear-node rows excluded):
@@ -137,6 +140,20 @@ def apply_mask(grads: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adjoint_recursion(dl_ds2: list[float], dpelu: list[float],
+                       carry: list[float]) -> list[float]:
+    """One component's adjoint recursion over Python floats,
+    gz_t = (dl_ds2_t + carry_{t+1} * gz_{t+1}) * dpelu_t with gz_T = 0.
+    Takes and returns every sequence in reverse time order."""
+    out = []
+    gz, carry_next = 0.0, 0.0
+    for dl, dp, c in zip(dl_ds2, dpelu, carry):
+        gz = (dl + carry_next * gz) * dp
+        out.append(gz)
+        carry_next = c
+    return out
+
+
 def gradient(series, params: RmdnParams, config: RmdnConfig,
              init: RecurrentState) -> tuple[float, np.ndarray]:
     """Loss and its exact derivative through the full unroll.
@@ -150,19 +167,9 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     t_len = values.size
     n, k = config.n_components, config.k_hidden
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = (
-            np.log(cache.eta)
-            - 0.5 * LOG_2PI
-            - 0.5 * np.log(cache.sigma2)
-            - 0.5 * (values[:, None] - cache.mu) ** 2 / cache.sigma2
-        )
-        m = np.max(q, axis=1)
-        shift = np.where(np.isfinite(m), m, 0.0)
-        lse = shift + np.log(np.sum(np.exp(q - shift[:, None]), axis=1))
-        lse = np.where(np.isfinite(m), lse, m)
+    q, lse = log_joint(values, cache.eta, cache.mu, cache.sigma2)
+    with np.errstate(invalid="ignore", over="ignore"):
         loss = float(-np.sum(lse))
-
     if not np.isfinite(loss):
         return loss, np.full(n_trainable(config), np.nan)
 
@@ -176,34 +183,30 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     ws = params.var_out_w[:, k:]
     wiw_e = params.var_in_w[:k]
     wiw_s = params.var_in_w[k:]
+    dtanh_e = 1.0 - cache.he[:, 1:] ** 2           # (T, K-1)
+    dtanh_s = 1.0 - cache.hs[:, :, 1:] ** 2        # (T, N, K-1)
 
-    # adjoint recursion over the two recurrent carriers; the parameter
-    # accumulations are deferred to vectorized reductions afterwards
-    gz_all = np.empty((t_len, n))
-    ghvar = np.empty((t_len, n + 1, k))
-    dtanh = 1.0 - cache.hvar[:, :, 1:] ** 2
-    gmu_bar = np.empty(t_len)
-    ds2_next = np.zeros(n)
-    de2_next = 0.0
-    for t in range(t_len - 1, -1, -1):
-        gmu_bar[t] = -2.0 * cache.resid[t] * de2_next
-        gz = (dl_ds2[t] + ds2_next) * cache.dpelu[t]
-        gz_all[t] = gz
-        g = ghvar[t]
-        g[0] = gz @ we
-        g[1:] = gz[:, None] * ws
-        g[:, 1:] *= dtanh[t]
-        de2_next = float(g[0] @ wiw_e)
-        ds2_next = g[1:] @ wiw_s
+    # carry[t, i] = d z_{t,i} / d s2_prev_{t,i}, the only recurrent path
+    ws_iw = ws * wiw_s
+    carry = ws_iw[:, 0] + np.einsum("tnk,nk->tn", dtanh_s, ws_iw[:, 1:])
+    gz_all = np.empty((t_len, n))                # d loss / d z, per component
+    for i in range(n):
+        gz_all[::-1, i] = _adjoint_recursion(
+            dl_ds2[::-1, i].tolist(), cache.dpelu[::-1, i].tolist(),
+            carry[::-1, i].tolist())
 
-    he_all = cache.hvar[:, 0, :]
-    hs_all = cache.hvar[:, 1:, :]
-    ghe_all = ghvar[:, 0, :]
-    ghs_all = ghvar[:, 1:, :]
+    # the squared-residual path does not recur: e2_prev[t+1] only feeds z[t+1]
+    ghe_all = gz_all @ we                        # (T, K)
+    ghe_all[:, 1:] *= dtanh_e
+    ghs_all = gz_all[:, :, None] * ws            # (T, N, K)
+    ghs_all[:, :, 1:] *= dtanh_s
+    gmu_bar = np.zeros(t_len)
+    gmu_bar[:-1] = -2.0 * cache.resid[:-1] * (ghe_all[1:] @ wiw_e)
+
     g_var_out_b = gz_all.sum(axis=0)
     g_var_out_w = np.empty((n, 2 * k))
-    g_var_out_w[:, :k] = gz_all.T @ he_all
-    g_var_out_w[:, k:] = np.einsum("tn,tnk->nk", gz_all, hs_all)
+    g_var_out_w[:, :k] = gz_all.T @ cache.he
+    g_var_out_w[:, k:] = np.einsum("tn,tnk->nk", gz_all, cache.hs)
     g_var_in_w = np.empty(2 * k)
     g_var_in_b = np.empty(2 * k)
     g_var_in_w[:k] = ghe_all.T @ cache.e2_prev

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import sample_seeds
-from .garch import fit_garch
+from .garch import GarchFitError, fit_garch
 from .gradients import nonlinear_node_mask
 from .network import RecurrentState, RmdnConfig, RmdnParams, _PARAM_FIELDS, init_params
 from .optim import CONVERGED, TrainSchedule, classify_convergence, train
@@ -97,7 +97,8 @@ def _run_task(task) -> RunRecord:
     if method == METHOD_GARCH:
         try:
             _, loglik = fit_garch(series)
-        except Exception:
+        except (GarchFitError, ValueError):
+            # an unfittable series (constant, too short) is a NotConverged record
             loglik = math.nan
         return RunRecord(series.name, method, None, float(loglik),
                          classify_convergence(loglik), 0,

@@ -125,8 +125,15 @@ def nll(series, steps) -> float:
     return float(sum(-log_density(r, step) for r, step in zip(values, steps)))
 
 
-def nll_arrays(values: np.ndarray, eta: np.ndarray, mu: np.ndarray, sigma2: np.ndarray) -> float:
-    """Vectorized negative log-likelihood over (T,N) mixture parameter arrays."""
+def log_joint(values: np.ndarray, eta: np.ndarray, mu: np.ndarray,
+              sigma2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-space terms of the likelihood over (T, N) mixture parameter arrays.
+
+    Returns q with q[t, i] = log(eta_i * phi(r_t; mu_i, sigma2_i)) and lse
+    with lse[t] = logsumexp_i q[t, i] = log p(r_t), max-shifted per row. A
+    row whose maximum is not finite keeps that maximum (-inf when every
+    component underflows, NaN when one is NaN).
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = (
             np.log(eta)
@@ -138,7 +145,14 @@ def nll_arrays(values: np.ndarray, eta: np.ndarray, mu: np.ndarray, sigma2: np.n
         shift = np.where(np.isfinite(m), m, 0.0)
         lse = shift + np.log(np.sum(np.exp(q - shift[:, None]), axis=1))
         lse = np.where(np.isfinite(m), lse, m)
-    return float(-np.sum(lse))
+    return q, lse
+
+
+def nll_arrays(values: np.ndarray, eta: np.ndarray, mu: np.ndarray, sigma2: np.ndarray) -> float:
+    """Vectorized negative log-likelihood over (T,N) mixture parameter arrays."""
+    _, lse = log_joint(values, eta, mu, sigma2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(-np.sum(lse))
 
 
 def mixture_moments(step: MixtureStep) -> tuple[float, float]:

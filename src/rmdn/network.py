@@ -18,6 +18,11 @@ and each component's own previous conditional variance. Its output unit is
 which is strictly positive for every finite input when 0 < alpha <= 1, so
 predicted variances can never reach zero or go negative.
 
+Only the N component variances truly recur. The mixing and mean networks
+read lagged returns alone, so mubar_t, and with it e2_t, is known for every
+step before the variance network runs; ``forward_pass`` evaluates all of
+that at once and loops only over N independent scalar variance recursions.
+
 With a single component and all tanh weights at zero the model collapses to
 an AR(1) conditional mean and, whenever the variance pre-activation is
 positive, a GARCH(1,1) conditional variance; ``params_from_garch`` builds
@@ -35,6 +40,7 @@ presample conditional variance defaults to the same population variance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -157,12 +163,12 @@ def positive_elu(x, alpha: float, eps: float):
 
 
 def _hidden_batch(x: np.ndarray, in_w: np.ndarray, in_b: np.ndarray) -> np.ndarray:
-    """Hidden activations for a batch of scalar inputs: (T,) -> (T, K).
+    """Hidden activations for an array of scalar inputs: (...,) -> (..., K).
 
     Node 0 is linear, the rest are tanh.
     """
-    h = x[:, None] * in_w + in_b
-    h[:, 1:] = np.tanh(h[:, 1:])
+    h = x[..., None] * in_w + in_b
+    h[..., 1:] = np.tanh(h[..., 1:])
     return h
 
 
@@ -217,29 +223,55 @@ class ForwardCache(NamedTuple):
     eta: np.ndarray       # (T, N)
     hmu: np.ndarray       # (T, K)  mean hidden activations
     mu: np.ndarray        # (T, N)
-    hvar: np.ndarray      # (T, N+1, K)  variance hidden: row 0 reads e2_t,
-                          # rows 1..N read the component's own variance
+    he: np.ndarray        # (T, K)  variance hidden nodes reading e2_prev
+    hs: np.ndarray        # (T, N, K)  variance hidden nodes reading s2_prev
     dpelu: np.ndarray     # (T, N)  output-unit derivative at the pre-activation
     sigma2: np.ndarray    # (T, N)
     e2_prev: np.ndarray   # (T,)  squared residual fed at each step
     s2_prev: np.ndarray   # (T, N)  variances fed at each step
-    mu_bar: np.ndarray    # (T,)  mixture means
     resid: np.ndarray     # (T,)  r_t - mu_bar_t
     final_state: RecurrentState
+
+
+def _variance_recursion(drive: list[float], s2: float, out_w: list[float],
+                        in_w: list[float], in_b: list[float], alpha: float,
+                        one_eps: float) -> tuple[list[float], list[float]]:
+    """One component's variance recursion over Python floats.
+
+    ``drive[t]`` is everything in the pre-activation that does not depend on
+    the component's own previous variance; ``out_w``, ``in_w`` and ``in_b``
+    are the weights of the K hidden nodes reading that variance (node 0
+    linear). Returns the pre-activations z_t and the variances pelu(z_t).
+    """
+    w0, a0, b0 = out_w[0], in_w[0], in_b[0]
+    tanh_nodes = list(zip(out_w[1:], in_w[1:], in_b[1:]))
+    zs, s2s = [], []
+    for d in drive:
+        z = d + w0 * (a0 * s2 + b0)
+        for w, a, b in tanh_nodes:
+            z += w * math.tanh(a * s2 + b)
+        # NaN compares false and takes the saturating branch, where it stays NaN
+        s2 = (z if z > 0.0 else alpha * math.expm1(z)) + one_eps
+        zs.append(z)
+        s2s.append(s2)
+    return zs, s2s
 
 
 def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
                  init: RecurrentState) -> ForwardCache:
     """Unroll the model over the whole series.
 
-    The mixing and mean networks have no recurrence and are evaluated for
-    all steps at once; only the variance recursion iterates. Non-finite
-    values are allowed to propagate (divergence is observable data).
+    Only each component's own variance recurs. The mixing and mean networks
+    read lagged returns alone, so the mixture means, the residuals, the
+    squared residuals fed to the variance network and that network's whole
+    e2 side are evaluated for all steps at once. What is left is N
+    independent scalar recursions, one per component, run over Python
+    floats. Non-finite values are allowed to propagate (divergence is
+    observable data).
     """
     t_len = values.size
-    n = config.n_components
-    k = config.k_hidden
-    alpha, eps = config.elu_alpha, config.elu_eps
+    n, k = config.n_components, config.k_hidden
+    alpha, one_eps = config.elu_alpha, 1.0 + config.elu_eps
 
     inputs = np.empty(t_len)
     inputs[0] = 0.0
@@ -251,52 +283,31 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
         hmu = _hidden_batch(inputs, params.mean_in_w, params.mean_in_b)
         mu = hmu @ params.mean_out_w.T + params.mean_out_b
 
-        hvar = np.empty((t_len, n + 1, k))
-        dpelu = np.empty((t_len, n))
-        sigma2 = np.empty((t_len, n))
+        resid = values - np.sum(eta * mu, axis=1)
+        e2 = resid * resid
         e2_prev = np.empty(t_len)
+        e2_prev[0] = init.e2_prev
+        e2_prev[1:] = e2[:-1]
+        he = _hidden_batch(e2_prev, params.var_in_w[:k], params.var_in_b[:k])
+        drive = he @ params.var_out_w[:, :k].T + params.var_out_b
+
+        z = np.empty((t_len, n))
+        sigma2 = np.empty((t_len, n))
+        in_w, in_b = params.var_in_w[k:].tolist(), params.var_in_b[k:].tolist()
+        for i in range(n):
+            z[:, i], sigma2[:, i] = _variance_recursion(
+                drive[:, i].tolist(), float(init.sigma2_prev[i]),
+                params.var_out_w[i, k:].tolist(), in_w, in_b, alpha, one_eps)
+
         s2_prev = np.empty((t_len, n))
-        mu_bar = np.empty(t_len)
-        resid = np.empty(t_len)
+        s2_prev[0] = init.sigma2_prev
+        s2_prev[1:] = sigma2[:-1]
+        hs = _hidden_batch(s2_prev, params.var_in_w[k:], params.var_in_b[k:])
+        dpelu = np.where(z > 0.0, 1.0, alpha * np.expm1(np.minimum(z, 0.0)) + alpha)
 
-        we = params.var_out_w[:, :k]
-        ws = params.var_out_w[:, k:]
-        wiw_e, wib_e = params.var_in_w[:k], params.var_in_b[:k]
-        wiw_s, wib_s = params.var_in_w[k:], params.var_in_b[k:]
-        var_out_b = params.var_out_b
-        one_eps = 1.0 + eps
-
-        e2 = float(init.e2_prev)
-        s2 = np.array(init.sigma2_prev, dtype=float)
-        for t in range(t_len):
-            e2_prev[t] = e2
-            s2_prev[t] = s2
-
-            h = hvar[t]
-            h[0] = e2 * wiw_e + wib_e
-            h[1:] = s2[:, None] * wiw_s + wib_s
-            np.tanh(h[:, 1:], out=h[:, 1:])
-            z = we @ h[0] + np.sum(ws * h[1:], axis=1) + var_out_b
-
-            pos = z > 0.0
-            if pos.all():
-                dpelu[t] = 1.0
-                s2 = z + one_eps
-            else:
-                neg = alpha * np.expm1(np.minimum(z, 0.0))
-                dpelu[t] = np.where(pos, 1.0, neg + alpha)
-                s2 = np.where(pos, z, neg) + one_eps
-            sigma2[t] = s2
-
-            mb = float(eta[t] @ mu[t])
-            mu_bar[t] = mb
-            r = values[t] - mb
-            resid[t] = r
-            e2 = r * r
-
-    final = RecurrentState(np.array(s2), e2)
-    return ForwardCache(inputs, hm, eta, hmu, mu, hvar, dpelu, sigma2,
-                        e2_prev, s2_prev, mu_bar, resid, final)
+    final = RecurrentState(sigma2[-1].copy(), e2[-1])
+    return ForwardCache(inputs, hm, eta, hmu, mu, he, hs, dpelu, sigma2,
+                        e2_prev, s2_prev, resid, final)
 
 
 def unroll(series, params: RmdnParams, config: RmdnConfig,

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete. The expensive criteria (3 and 4) train 10 seeds at
-the full 20 + 300 epoch schedule and take a few minutes each.
+the full 20 + 300 epoch schedule and take several seconds each.
 """
 
 import math

@@ -5,6 +5,10 @@ import pytest
 
 from rmdn.cli import main
 from rmdn.data import load_csv
+from rmdn.gradients import nonlinear_node_mask
+from rmdn.harness import save_model
+from rmdn.network import RmdnConfig, init_params, initial_state, unroll
+from rmdn.optim import TrainSchedule, train
 
 
 def run_cli(args, cwd=None):
@@ -96,6 +100,23 @@ class TestFit:
         from rmdn.harness import load_model
         params, config, state = load_model(model_path)
         assert config.n_components == 2 and config.k_hidden == 2
+
+    def test_saved_model_holds_the_unrolled_final_state(self, garch_csv, tmp_path, capsys):
+        """The saved file is byte for byte what save_model writes for the
+        trained parameters and the final state of a full unroll."""
+        model_path = tmp_path / "model.json"
+        code = main(["fit", "--model", "rmdn", "--pretrain-epochs", "1",
+                     "--epochs", "2", "--components", "2", "--hidden", "2",
+                     "--seed", "3", "--save", str(model_path), str(garch_csv)])
+        assert code == 0
+        series = load_csv(garch_csv)
+        config = RmdnConfig(n_components=2, k_hidden=2)
+        report = train(series, init_params(config, 3, "pretrain"), config,
+                       TrainSchedule(1, 2, 0.01), mask=nonlinear_node_mask(config))
+        _, state = unroll(series, report.final_params, config, initial_state(series, config))
+        expected = tmp_path / "expected.json"
+        save_model(report.final_params, config, state, expected)
+        assert model_path.read_bytes() == expected.read_bytes()
 
     def test_unreadable_data_exit_2(self, tmp_path):
         result = run_cli(["fit", "--model", "garch", str(tmp_path / "missing.csv")])

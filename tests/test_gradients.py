@@ -1,12 +1,16 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmdn.garch import GarchParams, simulate_garch
 from rmdn.gradients import (apply_mask, finite_diff_check, flatten_params,
                             gradient, n_trainable, nonlinear_node_mask,
                             unflatten_params)
-from rmdn.network import (RecurrentState, RmdnConfig, init_params,
-                          initial_state, unroll)
+from rmdn.network import (SCHEMES, RecurrentState, RmdnConfig, forward_pass,
+                          init_params, initial_state, unroll)
 
 PROBE = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)
 
@@ -158,6 +162,49 @@ class TestGradient:
         loss, grads = gradient(np.ones(10), p, cfg, RecurrentState([1.0], 1.0))
         assert not np.isfinite(loss)
         assert np.all(np.isnan(grads))
+
+
+@st.composite
+def gradient_cases(draw):
+    """N, K in 1..4, either init scheme, T <= 40, and output biases spread
+    over both sides of the pelu kink."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cfg = RmdnConfig(n_components=n, k_hidden=k)
+    p = init_params(cfg, draw(st.integers(0, 50000)), draw(st.sampled_from(SCHEMES)))
+    p.var_out_b[:] = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    series = simulate_garch(PROBE, draw(st.integers(2, 40)), seed=draw(st.integers(0, 10000)))
+    return series.values, p, cfg
+
+
+class TestGradientProperties:
+    @given(gradient_cases())
+    @settings(deadline=None, max_examples=30)
+    def test_finite_difference_agreement(self, case):
+        values, p, cfg = case
+        report = finite_diff_check(values, p, cfg, initial_state(values, cfg), tol=1e-5)
+        assert report.passed, f"max deviation {report.max_deviation:.2e}"
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(SCHEMES),
+           st.sampled_from([1.0, 1e-200, 1e150, 1e300]), st.integers(0, 10000),
+           st.none() | st.integers(0, 29))
+    @settings(deadline=None, max_examples=60)
+    def test_extreme_inputs_neither_raise_nor_warn(self, n, k, scheme, scale, seed, nan_at):
+        cfg = RmdnConfig(n_components=n, k_hidden=k)
+        p = init_params(cfg, seed, scheme)
+        values = simulate_garch(PROBE, 30, seed=seed).values * scale
+        if nan_at is not None:
+            values[nan_at] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the presample variance may overflow
+            init = initial_state(values, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cache = forward_pass(values, p, cfg, init)
+            loss, grads = gradient(values, p, cfg, init)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert cache.sigma2.shape == (30, n) and grads.shape == (n_trainable(cfg),)
+        if nan_at is not None:
+            assert math.isnan(loss) and np.all(np.isnan(grads))
 
 
 class TestFiniteDiffCheck:

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from rmdn import harness
+from rmdn.data import ReturnSeries
 from rmdn.garch import GarchParams, simulate_garch
 from rmdn.harness import (ALL_METHODS, METHOD_GARCH, METHOD_PLAIN,
                           METHOD_PRETRAINED, BenchmarkReport, ModelFileError,
@@ -88,6 +90,22 @@ class TestRunBenchmark:
         gp = GarchParams(0.0, 0.0, 0.05, 0.10, 0.80)
         with pytest.raises(ValueError):
             run_benchmark([simulate_garch(gp, 100, seed=1)], 0)
+
+    def test_constant_series_gives_not_converged_garch_record(self):
+        flat = ReturnSeries(np.zeros(100), name="flat")
+        report = run_benchmark([flat], 1, RmdnConfig(1, 1), TrainSchedule(1, 1, 0.02))
+        (record,) = report.select("flat", METHOD_GARCH)
+        assert record.status == NOT_CONVERGED and math.isnan(record.loglik)
+
+    def test_unexpected_garch_error_propagates(self, monkeypatch):
+        def broken_fit(series):
+            raise TypeError("a bug, not an unfittable series")
+
+        monkeypatch.setattr(harness, "fit_garch", broken_fit)
+        gp = GarchParams(0.0, 0.0, 0.05, 0.10, 0.80)
+        with pytest.raises(TypeError, match="a bug"):
+            run_benchmark([simulate_garch(gp, 100, seed=1)], 1, RmdnConfig(1, 1),
+                          TrainSchedule(1, 1, 0.02))
 
 
 class TestModelFiles:

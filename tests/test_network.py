@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rmdn.garch import GarchParams, garch_filter, simulate_garch
 from rmdn.mixture import nll
-from rmdn.network import (RecurrentState, RmdnConfig, init_params,
-                          initial_state, mean_forward, mixing_forward,
-                          params_from_garch, positive_elu, unroll,
-                          variance_forward)
+from rmdn.network import (RecurrentState, RmdnConfig, forward_pass,
+                          init_params, initial_state, mean_forward,
+                          mixing_forward, params_from_garch, positive_elu,
+                          unroll, variance_forward)
+
+PROBE = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)
 
 
 def reference_forward(r_t, e2_prev, s2_prev, p, config):
@@ -364,6 +366,54 @@ class TestUnroll:
         steps, _ = unroll(series, p, cfg, RecurrentState([1.0], 1.0))
         assert len(steps) == 10
         assert not steps[-1].valid
+
+
+@st.composite
+def variance_models(draw):
+    """A random N, K in 1..4 model whose variance unit visits both pelu
+    branches over a short series. The squared-residual and own-variance
+    loadings are non-negative and the tanh-node output weights small, which
+    keeps pre-activations above about -6, where the oracle's exp(z) - 1 still
+    agrees with expm1 to 1e-12 relative."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 50000))
+    cfg = RmdnConfig(n_components=n, k_hidden=k)
+    rng = np.random.default_rng(seed)
+    p = init_params(cfg, seed, "plain")
+    p.var_in_w[:] = rng.uniform(-1.0, 1.0, 2 * k)
+    p.var_in_b[:] = rng.uniform(-1.0, 1.0, 2 * k)
+    p.pin()
+    p.var_out_w[:] = rng.uniform(-0.5, 0.5, (n, 2 * k))
+    p.var_out_w[:, [0, k]] = rng.uniform(0.0, 1.0, (n, 2))
+    p.var_out_b[:] = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    series = simulate_garch(PROBE, draw(st.integers(2, 40)), seed=seed)
+    return series.values, p, cfg
+
+
+class TestForwardPassProperties:
+    @given(variance_models())
+    @settings(deadline=None, max_examples=60)
+    def test_matches_stepwise_reference(self, model):
+        """Each step agrees with the direct-formula oracle fed the same
+        previous variances, and both pelu branches are exercised."""
+        values, p, cfg = model
+        init = initial_state(values, cfg)
+        cache = forward_pass(values, p, cfg, init)
+        positive = cache.dpelu == 1.0
+        assume(positive.any() and not positive.all())
+
+        r_prev, e2, s2 = 0.0, init.e2_prev, np.array(init.sigma2_prev)
+        for t, r in enumerate(values):
+            eta_ref, mu_ref, s2_ref = reference_forward(r_prev, e2, s2, p, cfg)
+            np.testing.assert_allclose(cache.sigma2[t], s2_ref, rtol=1e-12)
+            # means can cross zero, where only an absolute bound is meaningful
+            np.testing.assert_allclose(cache.eta[t], eta_ref, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(cache.mu[t], mu_ref, rtol=1e-12, atol=1e-14)
+            e2 = (r - float(eta_ref @ mu_ref)) ** 2
+            s2 = cache.sigma2[t]
+            r_prev = r
+        np.testing.assert_array_equal(cache.final_state.sigma2_prev, cache.sigma2[-1])
+        assert cache.final_state.e2_prev == pytest.approx(e2, rel=1e-12, abs=1e-14)
 
 
 class TestInitialState:
