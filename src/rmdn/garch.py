@@ -6,10 +6,10 @@ Model:
     sigma2_{t+1} = alpha0 + alpha1 * e2_t + beta1 * sigma2_t,  e_t = r_t - mu_t
 
 Presample conventions (shared with the network module so the nested models
-agree step by step): r_0 = 0, e2_0 = population variance of the series,
-sigma2_0 = init_var (defaults to the same population variance). The first
-filtered pair is therefore mu_1 = a0 and sigma2_1 = alpha0 + alpha1*e2_0 +
-beta1*init_var.
+agree step by step, and computed by ``network.presample_variances``): r_0 = 0,
+e2_0 = population variance of the series, sigma2_0 = init_var (defaults to
+the same population variance). The first filtered pair is therefore mu_1 =
+a0 and sigma2_1 = alpha0 + alpha1*e2_0 + beta1*init_var.
 
 Fitting maximizes the likelihood by Adam on an unconstrained scale:
 alpha0 = exp(t0), and (alpha1, beta1) = (p*s, p*(1-s)) with p, s logistic,
@@ -27,6 +27,7 @@ from scipy.signal import lfilter
 from scipy.special import expit
 
 from .mixture import LOG_2PI, _as_values
+from .network import presample_variances
 from .optim import AdamState, adam_step
 
 
@@ -57,11 +58,6 @@ class GarchParams:
         return self.alpha0 / (1.0 - self.alpha1 - self.beta1)
 
 
-def _presample_variance(values: np.ndarray) -> float:
-    var = float(np.var(values))
-    return var if var > 0.0 else 1.0
-
-
 def garch_filter(series, params: GarchParams, init_var: float | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional means and variances for each observation.
@@ -70,8 +66,9 @@ def garch_filter(series, params: GarchParams, init_var: float | None = None
     squared residual is always the population variance of the series.
     """
     values = _as_values(series)
+    sigma2_0, e2_0 = presample_variances(values)
     if init_var is None:
-        init_var = _presample_variance(values)
+        init_var = sigma2_0
     if not init_var > 0:
         raise ValueError("init_var must be positive")
     r_prev = np.empty_like(values)
@@ -80,7 +77,7 @@ def garch_filter(series, params: GarchParams, init_var: float | None = None
     mu = params.a0 + params.a1 * r_prev
     e2 = (values - mu) ** 2
     e2_prev = np.empty_like(values)
-    e2_prev[0] = float(np.var(values))  # presample squared residual, may be 0
+    e2_prev[0] = e2_0
     e2_prev[1:] = e2[:-1]
     x = params.alpha0 + params.alpha1 * e2_prev
     sigma2 = lfilter([1.0], [1.0, -params.beta1], x, zi=[params.beta1 * init_var])[0]

@@ -5,21 +5,25 @@ mixture
 
     p(r) = sum_i eta_i * phi(r; mu_i, sigma2_i)
 
-used as the conditional density of a return series at one forecast origin.
-The per-observation log density is evaluated as
+used as the conditional density of a return series at one forecast origin;
+a :class:`MixturePath` holds them for a whole series as (T, N) arrays. The
+per-observation log density is evaluated as
 
     log p(r) = logsumexp_i [ log eta_i - 0.5*log(2*pi)
                              - 0.5*log(sigma2_i) - 0.5*(r - mu_i)^2 / sigma2_i ]
 
 so that far-tail observations underflow gracefully instead of rounding the
-density to zero. NaN values are propagated, never trapped: a diverged model
-produces a NaN likelihood, which downstream convergence classification
-treats as data.
+density to zero; ``log_joint`` evaluates it for every likelihood and
+``log_density`` restates it for one step, as the tests' oracle. NaN values
+are propagated, never trapped: a diverged model produces a NaN likelihood,
+which downstream convergence classification treats as data.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,18 +94,35 @@ class MixtureStep:
             raise ValueError("component variances must be strictly positive")
 
 
-def _log_weighted_densities(r: float, step: MixtureStep) -> np.ndarray:
-    """log(eta_i * phi(r; mu_i, sigma2_i)) per component."""
-    return (
-        np.log(step.eta)
-        - 0.5 * LOG_2PI
-        - 0.5 * np.log(step.sigma2)
-        - 0.5 * (r - step.mu) ** 2 / step.sigma2
-    )
+class MixturePath(Sequence):
+    """Mixture parameters over a series as (T, N) arrays ``eta``, ``mu`` and
+    ``sigma2``; row t is the mixture for observation t, and ``path[t]``
+    (negative t too) a MixtureStep over views of that row.
+    """
+
+    def __init__(self, eta, mu, sigma2):
+        self.eta, self.mu, self.sigma2 = (np.asarray(a, dtype=float) for a in (eta, mu, sigma2))
+        if not (self.eta.ndim == 2 and self.eta.shape == self.mu.shape == self.sigma2.shape):
+            raise ValueError("eta, mu and sigma2 must be (T, N) arrays of one shape")
+
+    @classmethod
+    def of(cls, steps) -> "MixturePath":
+        """Stack a non-empty sequence of steps, which must have equal component
+        counts (else ValueError); a MixturePath is returned as it is."""
+        if isinstance(steps, cls):
+            return steps
+        return cls(*(np.stack([getattr(s, f) for s in steps]) for f in ("eta", "mu", "sigma2")))
+
+    def __len__(self) -> int:
+        return self.eta.shape[0]
+
+    def __getitem__(self, t) -> MixtureStep:
+        t = operator.index(t)
+        return MixtureStep(self.eta[t], self.mu[t], self.sigma2[t])
 
 
 def log_density(r: float, step: MixtureStep) -> float:
-    """Log of the mixture density at r.
+    """Log of the mixture density at r; the per-step oracle of ``log_joint``.
 
     Raises ValueError when a component variance is non-positive, which
     signals an upstream activation failure; NaN fields propagate to a NaN
@@ -109,20 +130,25 @@ def log_density(r: float, step: MixtureStep) -> float:
     """
     if np.any(step.sigma2 <= 0.0):
         raise ValueError("non-positive component variance")
-    return logsumexp(_log_weighted_densities(r, step))
+    return logsumexp(np.log(step.eta) - 0.5 * LOG_2PI - 0.5 * np.log(step.sigma2)
+                     - 0.5 * (r - step.mu) ** 2 / step.sigma2)
 
 
 def nll(series, steps) -> float:
-    """Negative log-likelihood sum_t -log p(r_t | step_t).
-
-    NaN summands propagate so that diverged forward passes are observable.
+    """Negative log-likelihood sum_t -log p(r_t | step_t) under a MixturePath
+    or a sequence of steps, evaluated by ``log_joint``. Raises ValueError on a
+    length mismatch, unequal component counts or a non-positive variance; NaN
+    summands propagate, so divergence is observable. An empty series scores 0.
     """
     values = _as_values(series)
     if len(steps) != values.size:
-        raise ValueError(
-            f"length mismatch: {values.size} observations vs {len(steps)} steps"
-        )
-    return float(sum(-log_density(r, step) for r, step in zip(values, steps)))
+        raise ValueError(f"length mismatch: {values.size} observations vs {len(steps)} steps")
+    if values.size == 0:
+        return 0.0
+    path = MixturePath.of(steps)
+    if np.any(path.sigma2 <= 0.0):
+        raise ValueError("non-positive component variance")
+    return nll_arrays(values, path.eta, path.mu, path.sigma2)
 
 
 def log_joint(values: np.ndarray, eta: np.ndarray, mu: np.ndarray,

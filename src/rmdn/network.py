@@ -35,7 +35,7 @@ trainable parameter set.
 Presample conventions (shared with the GARCH baseline so the nested models
 agree step by step): the input return before the sample starts is 0, the
 presample squared residual is the population variance of the series, and the
-presample conditional variance defaults to the same population variance.
+presample conditional variance defaults to the same (``presample_variances``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mixture import MixtureStep, _as_values
+from .mixture import MixturePath, _as_values
 
 SCHEMES = ("pretrain", "plain")
 
@@ -204,15 +204,24 @@ def variance_forward(state: RecurrentState, params: RmdnParams, config: RmdnConf
     return positive_elu(z, config.elu_alpha, config.elu_eps)
 
 
+def presample_variances(values: np.ndarray) -> tuple[float, float]:
+    """Presample (sigma2_0, e2_0): the population variance of the series for
+    both, except that a constant series keeps e2_0 = 0 and falls back to
+    sigma2_0 = 1.0. A variance that overflows, or underflows to 0 on a
+    non-constant series, becomes the nearest positive float; NaN propagates.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(np.var(values))
+    if var == 0.0 and np.any(values != values[0]):
+        var = float(np.finfo(float).tiny)
+    var = min(var, float(np.finfo(float).max))  # NaN stays NaN
+    return (var if var > 0.0 else 1.0), var
+
+
 def initial_state(series, config: RmdnConfig) -> RecurrentState:
-    """Presample state: population variance of the series for both the
-    per-component variance and the squared residual. The variance falls back
-    to 1.0 for a constant series (it must stay positive); the squared
-    residual is the raw variance and may be 0."""
-    values = _as_values(series)
-    var = float(np.var(values))
-    sigma2_0 = var if var > 0.0 else 1.0
-    return RecurrentState(np.full(config.n_components, sigma2_0), var)
+    """Presample state: ``presample_variances`` for every component."""
+    sigma2_0, e2_0 = presample_variances(_as_values(series))
+    return RecurrentState(np.full(config.n_components, sigma2_0), e2_0)
 
 
 class ForwardCache(NamedTuple):
@@ -311,20 +320,16 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
 
 
 def unroll(series, params: RmdnParams, config: RmdnConfig,
-           init: RecurrentState) -> tuple[list[MixtureStep], RecurrentState]:
+           init: RecurrentState) -> tuple[MixturePath, RecurrentState]:
     """Run the model over a series; step t is the conditional mixture for r_t.
 
-    Returns one MixtureStep per observation plus the final recurrent state.
-    Steps that picked up NaN/inf are flagged via ``MixtureStep.valid`` rather
-    than raising, so the likelihood can propagate the divergence.
+    Returns the MixturePath over ``forward_pass``'s (T, N) arrays plus the
+    final recurrent state. Steps that picked up NaN/inf are flagged via
+    ``MixtureStep.valid`` rather than raising, so the likelihood can
+    propagate the divergence.
     """
-    values = _as_values(series)
-    cache = forward_pass(values, params, config, init)
-    steps = [
-        MixtureStep(cache.eta[t], cache.mu[t], cache.sigma2[t])
-        for t in range(values.size)
-    ]
-    return steps, cache.final_state
+    cache = forward_pass(_as_values(series), params, config, init)
+    return MixturePath(cache.eta, cache.mu, cache.sigma2), cache.final_state
 
 
 def _zeros_params(config: RmdnConfig) -> RmdnParams:

@@ -194,11 +194,9 @@ class TestGradientProperties:
         values = simulate_garch(PROBE, 30, seed=seed).values * scale
         if nan_at is not None:
             values[nan_at] = math.nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the presample variance may overflow
-            init = initial_state(values, cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            init = initial_state(values, cfg)
             cache = forward_pass(values, p, cfg, init)
             loss, grads = gradient(values, p, cfg, init)
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

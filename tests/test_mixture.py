@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmdn.mixture import (MixtureStep, log_density, logsumexp, mixture_moments,
-                          nll, nll_arrays, sample)
+from rmdn.mixture import (MixturePath, MixtureStep, log_density, logsumexp,
+                          mixture_moments, nll, nll_arrays, sample)
 
 
 def gaussian_pdf(x, mu, var):
@@ -131,6 +131,99 @@ class TestNll:
         mu = np.array([s.mu for s in steps])
         s2 = np.array([s.sigma2 for s in steps])
         assert nll_arrays(values, eta, mu, s2) == pytest.approx(nll(values, steps), rel=1e-13)
+
+
+def as_path(steps, n=1):
+    """The same steps as a MixturePath; no steps make a (0, n) path."""
+    return MixturePath.of(steps) if steps else MixturePath(*np.empty((3, 0, n)))
+
+
+@st.composite
+def scored_steps(draw):
+    """N in 1..4 and T in 1..50. Variances of at least 0.2 > 1/(2*pi) make
+    every log density negative, so the sum has no cancellation and a
+    reordered float64 sum stays within about T*eps relative."""
+    n, t = draw(st.integers(1, 4)), draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(0, 2, t), [random_step(rng, n) for _ in range(t)]
+
+
+@pytest.mark.parametrize("kind", [list, as_path])
+class TestNllContract:
+    """nll takes a list of steps or a MixturePath and keeps one contract."""
+
+    def test_length_mismatch_raises(self, kind):
+        with pytest.raises(ValueError, match="length mismatch"):
+            nll([0.0, 1.0], kind([MixtureStep([1.0], [0.0], [1.0])]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_nonpositive_variance_raises_despite_a_nan_step(self, kind, bad, at):
+        steps = [MixtureStep([0.5, 0.5], [0.0, 0.0], [1.0, 2.0]) for _ in range(3)]
+        steps[1].mu[0] = math.nan
+        steps[at].sigma2[1] = bad
+        with pytest.raises(ValueError, match="non-positive component variance"):
+            nll(np.zeros(3), kind(steps))
+
+    def test_nan_propagates(self, kind):
+        steps = [MixtureStep([1.0], [0.0], [1.0]), MixtureStep([1.0], [0.0], [math.nan])]
+        assert math.isnan(nll([0.0, 0.0], kind(steps)))
+
+    def test_empty_series_scores_zero(self, kind):
+        assert nll([], kind([])) == 0.0
+
+
+class TestNllInputs:
+    def test_unequal_component_counts_raise(self):
+        steps = [MixtureStep([1.0], [0.0], [1.0]), MixtureStep([0.5, 0.5], [0.0, 0.0], [1.0, 1.0])]
+        with pytest.raises(ValueError):
+            nll([0.0, 0.0], steps)
+
+    @given(scored_steps())
+    @settings(deadline=None, max_examples=60)
+    def test_list_and_path_match_the_per_step_oracle(self, case):
+        values, steps = case
+        oracle = -math.fsum(log_density(r, step) for r, step in zip(values, steps))
+        assert nll(values, steps) == nll(values, MixturePath.of(steps))
+        assert nll(values, steps) == pytest.approx(oracle, rel=1e-13)
+
+
+class TestMixturePath:
+    def test_indexing_gives_views_of_rows(self):
+        rng = np.random.default_rng(6)
+        eta, mu, s2 = rng.uniform(0.1, 1.0, (3, 5, 2))
+        path = MixturePath(eta, mu, s2)
+        assert len(path) == 5
+        for t in (0, 3, -1, -5):
+            step = path[t]
+            assert np.array_equal(step.eta, eta[t]) and np.array_equal(step.mu, mu[t])
+            assert np.array_equal(step.sigma2, s2[t])
+        path[-1].sigma2[0] = 7.0
+        assert s2[4, 0] == 7.0
+        assert [np.array_equal(step.mu, row) for step, row in zip(path, mu)] == [True] * 5
+
+    def test_out_of_range_and_non_integer_indices_raise(self):
+        path = MixturePath(*np.ones((3, 2, 1)))
+        with pytest.raises(IndexError):
+            path[2]
+        with pytest.raises(IndexError):
+            path[-3]
+        with pytest.raises(TypeError):
+            path[0:1]
+
+    def test_of_stacks_steps_and_passes_a_path_through(self):
+        rng = np.random.default_rng(7)
+        steps = [random_step(rng, 3) for _ in range(4)]
+        path = MixturePath.of(steps)
+        assert path.eta.shape == (4, 3)
+        assert np.array_equal(path.sigma2, np.array([s.sigma2 for s in steps]))
+        assert MixturePath.of(path) is path
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            MixturePath(np.ones((2, 2)), np.ones((2, 1)), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            MixturePath(np.ones(2), np.ones(2), np.ones(2))
 
 
 class TestMoments:

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rmdn.garch import GarchParams, garch_filter, simulate_garch
-from rmdn.mixture import nll
+from rmdn.mixture import MixturePath, nll
 from rmdn.network import (RecurrentState, RmdnConfig, forward_pass,
                           init_params, initial_state, mean_forward,
                           mixing_forward, params_from_garch, positive_elu,
@@ -358,6 +359,23 @@ class TestUnroll:
             assert np.array_equal(sa.mu, sb.mu)
             assert np.array_equal(sa.sigma2, sb.sigma2)
 
+    def test_path_holds_forward_pass_rows(self):
+        series = simulate_garch(PROBE, 25, seed=4)
+        cfg = RmdnConfig(n_components=3, k_hidden=2)
+        p = init_params(cfg, 15, "plain")
+        init = initial_state(series, cfg)
+        steps, final = unroll(series, p, cfg, init)
+        cache = forward_pass(series.values, p, cfg, init)
+        assert isinstance(steps, MixturePath) and len(steps) == 25
+        for t in (0, 11, 24, -1, -25):
+            assert np.array_equal(steps[t].eta, cache.eta[t])
+            assert np.array_equal(steps[t].mu, cache.mu[t])
+            assert np.array_equal(steps[t].sigma2, cache.sigma2[t])
+        rows = list(steps)
+        assert len(rows) == 25
+        assert all(np.array_equal(s.sigma2, row) for s, row in zip(rows, cache.sigma2))
+        np.testing.assert_array_equal(final.sigma2_prev, cache.final_state.sigma2_prev)
+
     def test_divergence_flagged_not_raised(self):
         cfg = RmdnConfig(n_components=1, k_hidden=1)
         p = init_params(cfg, 0, "pretrain")
@@ -366,6 +384,8 @@ class TestUnroll:
         steps, _ = unroll(series, p, cfg, RecurrentState([1.0], 1.0))
         assert len(steps) == 10
         assert not steps[-1].valid
+        flags = [s.valid for s in steps]
+        assert flags[0] and flags == list(np.all(np.isfinite(steps.sigma2), axis=1))
 
 
 @st.composite
@@ -429,6 +449,29 @@ class TestInitialState:
         # the variance must stay positive; the squared residual may be 0
         st_ = initial_state(np.zeros(5), RmdnConfig())
         assert st_.e2_prev == 0.0
+        assert np.all(st_.sigma2_prev == 1.0)
+
+    @pytest.mark.parametrize("scale, expected", [
+        (1e300, np.finfo(float).max), (1e-200, np.finfo(float).tiny)])
+    def test_extreme_scales_give_the_nearest_positive_variance(self, scale, expected):
+        values = simulate_garch(PROBE, 30, seed=5).values * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st_ = initial_state(values, RmdnConfig())
+        assert st_.e2_prev == expected
+        assert np.all(st_.sigma2_prev == expected)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+    def test_finite_variance_is_exactly_np_var(self, scale):
+        values = simulate_garch(PROBE, 30, seed=6).values * scale
+        st_ = initial_state(values, RmdnConfig())
+        assert st_.e2_prev == float(np.var(values))
+        assert np.all(st_.sigma2_prev == float(np.var(values)))
+
+    def test_nan_series_keeps_the_fallback(self):
+        values = np.array([0.1, math.nan, -0.2])
+        st_ = initial_state(values, RmdnConfig())
+        assert math.isnan(st_.e2_prev)
         assert np.all(st_.sigma2_prev == 1.0)
 
     def test_state_validation(self):
