@@ -14,9 +14,7 @@ from .harness import (BenchmarkReport, ModelFileError, RunRecord, load_model,
 from .mixture import (MixturePath, MixtureStep, log_density, logsumexp,
                       mixture_moments, nll, sample)
 from .network import (RecurrentState, RmdnConfig, RmdnParams, init_params,
-                      initial_state, mean_forward, mixing_forward,
-                      params_from_garch, positive_elu, unroll,
-                      variance_forward)
+                      initial_state, params_from_garch, positive_elu, unroll)
 from .optim import (CONVERGED, NOT_CONVERGED, AdamState, TrainReport,
                     TrainSchedule, adam_step, classify_convergence, train)
 

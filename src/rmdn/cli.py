@@ -17,7 +17,8 @@ from .data import (ParseError, ReturnSeries, TwoRegimeSpec, load_csv,
                    simulate_mixture_process, write_csv)
 from .garch import GarchFitError, GarchParams, fit_garch, simulate_garch
 from .gradients import finite_diff_check, nonlinear_node_mask
-from .harness import ModelFileError, render_report, run_benchmark, save_model
+from .harness import (MODEL_SCHEMA_VERSION, ModelFileError, render_report,
+                      run_benchmark, save_model)
 from .network import RmdnConfig, forward_pass, init_params, initial_state
 from .optim import TrainSchedule, classify_convergence, train
 
@@ -120,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("-T", "--length", type=int, default=20,
                       help="length of the probe series (default: 20)")
     grad.add_argument("--seed", type=int, default=0, help="probe seed (default: 0)")
-    grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     grad.set_defaults(func=_cmd_gradcheck)
 
     return parser
@@ -160,7 +160,7 @@ def _cmd_fit(args) -> int:
         )
         if args.save:
             payload = {
-                "schema_version": 1,
+                "schema_version": MODEL_SCHEMA_VERSION,
                 "model": "garch",
                 "params": {"a0": params.a0, "a1": params.a1, "alpha0": params.alpha0,
                            "alpha1": params.alpha1, "beta1": params.beta1},
@@ -218,8 +218,6 @@ def _cmd_gradcheck(args) -> int:
     init = initial_state(series, config)
     report = finite_diff_check(series, params, config, init, tol=args.tol)
     max_dev = report.max_deviation
-    if args.corrupt:
-        max_dev = max_dev + 0.1
     if max_dev <= args.tol:
         print(f"gradcheck PASS: max deviation {max_dev:.3e} <= tol {args.tol:.1e}")
         return 0

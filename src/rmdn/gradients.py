@@ -17,50 +17,32 @@ Two stability details:
   * a non-finite loss short-circuits to all-NaN gradients, which callers
     must treat as divergence rather than update through.
 
-Trainable parameters live in a flat vector whose layout is fixed by
-``flatten_params`` (pinned entries excluded). Freezing the tanh nodes is a
-mask over that vector: their input weights and biases plus the output
-weights attached to them, across all three subnetworks.
+Trainable parameters live in a flat vector: the free entries of
+``network.param_layout``, in ``RmdnParams`` field order (pinned entries
+excluded). Freezing the tanh nodes is a mask over that vector: their input
+weights and biases plus the output weights attached to them, across all
+three subnetworks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .mixture import _as_values, log_joint, nll_arrays
-from .network import RecurrentState, RmdnConfig, RmdnParams, forward_pass
-
-# Flat vector layout, in order (pinned linear-node rows excluded):
-#   mix_in_w[1:], mix_in_b[1:], mix_out_w, mix_out_b,
-#   mean_in_w[1:], mean_in_b[1:], mean_out_w, mean_out_b,
-#   var_in_w[free], var_in_b[free], var_out_w, var_out_b
-# where the free variance rows are 1..K-1 and K+1..2K-1.
-
-
-def _free_var_rows(k: int) -> np.ndarray:
-    mask = np.ones(2 * k, dtype=bool)
-    mask[[0, k]] = False
-    return mask
+from .network import (RecurrentState, RmdnConfig, RmdnParams, forward_pass,
+                      param_layout)
 
 
 def n_trainable(config: RmdnConfig) -> int:
-    n, k = config.n_components, config.k_hidden
-    return 8 * (k - 1) + 2 * n * (k + 1) + n * (2 * k + 1)
+    return int(np.count_nonzero(param_layout(config.n_components, config.k_hidden).free))
 
 
 def flatten_params(params: RmdnParams, config: RmdnConfig) -> np.ndarray:
     """Trainable subset of the parameters as a flat vector."""
-    free = _free_var_rows(config.k_hidden)
-    return np.concatenate([
-        params.mix_in_w[1:], params.mix_in_b[1:],
-        params.mix_out_w.ravel(), params.mix_out_b,
-        params.mean_in_w[1:], params.mean_in_b[1:],
-        params.mean_out_w.ravel(), params.mean_out_b,
-        params.var_in_w[free], params.var_in_b[free],
-        params.var_out_w.ravel(), params.var_out_b,
-    ])
+    free = param_layout(config.n_components, config.k_hidden).free
+    return np.concatenate([getattr(params, f.name).ravel() for f in fields(params)])[free]
 
 
 def unflatten_params(theta: np.ndarray, config: RmdnConfig, pinned: bool = True) -> RmdnParams:
@@ -70,63 +52,22 @@ def unflatten_params(theta: np.ndarray, config: RmdnConfig, pinned: bool = True)
     values; with ``pinned=False`` they are zero (useful for viewing a
     gradient vector in parameter shape).
     """
-    n, k = config.n_components, config.k_hidden
+    layout = param_layout(config.n_components, config.k_hidden)
     theta = np.asarray(theta, dtype=float)
     if theta.size != n_trainable(config):
         raise ValueError(
             f"expected {n_trainable(config)} trainable parameters, got {theta.size}"
         )
-    free = _free_var_rows(k)
-    p = RmdnParams(
-        mix_in_w=np.zeros(k), mix_in_b=np.zeros(k),
-        mix_out_w=np.zeros((n, k)), mix_out_b=np.zeros(n),
-        mean_in_w=np.zeros(k), mean_in_b=np.zeros(k),
-        mean_out_w=np.zeros((n, k)), mean_out_b=np.zeros(n),
-        var_in_w=np.zeros(2 * k), var_in_b=np.zeros(2 * k),
-        var_out_w=np.zeros((n, 2 * k)), var_out_b=np.zeros(n),
-    )
-    pos = 0
-
-    def take(count, shape=None):
-        nonlocal pos
-        chunk = theta[pos:pos + count]
-        pos += count
-        return chunk.reshape(shape) if shape else chunk
-
-    p.mix_in_w[1:] = take(k - 1)
-    p.mix_in_b[1:] = take(k - 1)
-    p.mix_out_w[:] = take(n * k, (n, k))
-    p.mix_out_b[:] = take(n)
-    p.mean_in_w[1:] = take(k - 1)
-    p.mean_in_b[1:] = take(k - 1)
-    p.mean_out_w[:] = take(n * k, (n, k))
-    p.mean_out_b[:] = take(n)
-    p.var_in_w[free] = take(2 * k - 2)
-    p.var_in_b[free] = take(2 * k - 2)
-    p.var_out_w[:] = take(n * 2 * k, (n, 2 * k))
-    p.var_out_b[:] = take(n)
-    if pinned:
-        p.pin()
-    return p
+    flat = layout.pinned.copy() if pinned else np.zeros(layout.pinned.size)
+    flat[layout.free] = theta
+    return RmdnParams(*layout.split(flat))
 
 
 def nonlinear_node_mask(config: RmdnConfig) -> np.ndarray:
     """Boolean mask over the flat vector covering every tanh-node parameter:
     their input weights/biases and the output weights they feed."""
-    n, k = config.n_components, config.k_hidden
-    tanh_out = np.zeros((n, k), dtype=bool)
-    tanh_out[:, 1:] = True
-    var_tanh_out = np.zeros((n, 2 * k), dtype=bool)
-    var_tanh_out[:, 1:k] = True
-    var_tanh_out[:, k + 1:] = True
-    return np.concatenate([
-        np.ones(k - 1, dtype=bool), np.ones(k - 1, dtype=bool),
-        tanh_out.ravel(), np.zeros(n, dtype=bool),
-        np.ones(k - 1, dtype=bool), np.ones(k - 1, dtype=bool),
-        tanh_out.ravel(), np.zeros(n, dtype=bool),
-        np.ones(2 * k - 2, dtype=bool), np.ones(2 * k - 2, dtype=bool),
-        var_tanh_out.ravel(), np.zeros(n, dtype=bool),
-    ])
+    layout = param_layout(config.n_components, config.k_hidden)
+    return layout.tanh[layout.free]
 
 
 def apply_mask(grads: np.ndarray, mask: np.ndarray) -> np.ndarray:

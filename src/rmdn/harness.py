@@ -22,14 +22,15 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .data import sample_seeds
 from .garch import GarchFitError, fit_garch
 from .gradients import nonlinear_node_mask
-from .network import RecurrentState, RmdnConfig, RmdnParams, _PARAM_FIELDS, init_params
+from .network import (RecurrentState, RmdnConfig, RmdnParams, init_params,
+                      param_layout)
 from .optim import CONVERGED, TrainSchedule, classify_convergence, train
 
 METHOD_PRETRAINED = "pretrained"
@@ -168,13 +169,8 @@ def save_model(params: RmdnParams, config: RmdnConfig, state: RecurrentState,
     """Write a schema-versioned JSON model file; floats keep full precision."""
     payload = {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "config": {
-            "n_components": config.n_components,
-            "k_hidden": config.k_hidden,
-            "elu_alpha": config.elu_alpha,
-            "elu_eps": config.elu_eps,
-        },
-        "params": {name: getattr(params, name).tolist() for name in _PARAM_FIELDS},
+        "config": asdict(config),
+        "params": {f.name: getattr(params, f.name).tolist() for f in fields(params)},
         "state": {
             "sigma2_prev": state.sigma2_prev.tolist(),
             "e2_prev": state.e2_prev,
@@ -183,13 +179,6 @@ def save_model(params: RmdnParams, config: RmdnConfig, state: RecurrentState,
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
-
-
-_PARAM_SHAPES = {
-    "mix_in_w": ("K",), "mix_in_b": ("K",), "mix_out_w": ("N", "K"), "mix_out_b": ("N",),
-    "mean_in_w": ("K",), "mean_in_b": ("K",), "mean_out_w": ("N", "K"), "mean_out_b": ("N",),
-    "var_in_w": ("2K",), "var_in_b": ("2K",), "var_out_w": ("N", "2K"), "var_out_b": ("N",),
-}
 
 
 def load_model(path) -> tuple[RmdnParams, RmdnConfig, RecurrentState]:
@@ -209,25 +198,25 @@ def load_model(path) -> tuple[RmdnParams, RmdnConfig, RecurrentState]:
         if section not in payload:
             raise ModelFileError(f"{path}: missing field {section!r}")
     cfg = payload["config"]
-    for key in ("n_components", "k_hidden", "elu_alpha", "elu_eps"):
+    keys = [f.name for f in fields(RmdnConfig)]
+    for key in keys:
         if key not in cfg:
             raise ModelFileError(f"{path}: missing field config.{key}")
-    config = RmdnConfig(cfg["n_components"], cfg["k_hidden"], cfg["elu_alpha"], cfg["elu_eps"])
+    config = RmdnConfig(**{key: cfg[key] for key in keys})
 
-    dims = {"N": config.n_components, "K": config.k_hidden, "2K": 2 * config.k_hidden}
-    arrays = {}
-    for name in _PARAM_FIELDS:
-        if name not in payload["params"]:
-            raise ModelFileError(f"{path}: missing field params.{name}")
-        arr = np.asarray(payload["params"][name], dtype=float)
-        want = tuple(dims[d] for d in _PARAM_SHAPES[name])
+    layout = param_layout(config.n_components, config.k_hidden)
+    arrays = []
+    for f, want in zip(fields(RmdnParams), layout.shapes):
+        if f.name not in payload["params"]:
+            raise ModelFileError(f"{path}: missing field params.{f.name}")
+        arr = np.asarray(payload["params"][f.name], dtype=float)
         if arr.shape != want:
             raise ModelFileError(
-                f"{path}: shape mismatch for params.{name}: file has {arr.shape}, "
+                f"{path}: shape mismatch for params.{f.name}: file has {arr.shape}, "
                 f"config N={config.n_components} K={config.k_hidden} needs {want}"
             )
-        arrays[name] = arr
-    params = RmdnParams(**arrays)
+        arrays.append(arr)
+    params = RmdnParams(*arrays)
 
     st = payload["state"]
     for key in ("sigma2_prev", "e2_prev"):

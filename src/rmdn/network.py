@@ -30,7 +30,8 @@ that embedding explicitly.
 
 For identifiability, the linear hidden node of each subnetwork is pinned to
 the identity (input weight 1, bias 0). Pinned entries are excluded from the
-trainable parameter set.
+trainable parameter set. ``param_layout`` is the one table of which entries
+are pinned, which are trainable and which belong to tanh nodes.
 
 Presample conventions (shared with the GARCH baseline so the nested models
 agree step by step): the input return before the sample starts is 0, the
@@ -40,8 +41,9 @@ presample conditional variance defaults to the same (``presample_variances``).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -111,26 +113,63 @@ class RmdnParams:
         return self.mix_in_w.shape[0]
 
     def copy(self) -> "RmdnParams":
-        return RmdnParams(*(np.array(getattr(self, f)) for f in _PARAM_FIELDS))
+        return RmdnParams(*(np.array(getattr(self, f.name)) for f in fields(self)))
 
     def pin(self) -> None:
         """Reset the identifiability-pinned entries to their fixed values."""
-        k = self.k_hidden
-        for arr in (self.mix_in_w, self.mean_in_w):
-            arr[0] = 1.0
-        for arr in (self.mix_in_b, self.mean_in_b):
-            arr[0] = 0.0
-        self.var_in_w[0] = 1.0
-        self.var_in_w[k] = 1.0
-        self.var_in_b[0] = 0.0
-        self.var_in_b[k] = 0.0
+        layout = param_layout(self.n_components, self.k_hidden)
+        for f, fixed, value in zip(fields(self), layout.split(~layout.free),
+                                   layout.split(layout.pinned)):
+            getattr(self, f.name)[fixed] = value[fixed]
 
 
-_PARAM_FIELDS = (
-    "mix_in_w", "mix_in_b", "mix_out_w", "mix_out_b",
-    "mean_in_w", "mean_in_b", "mean_out_w", "mean_out_b",
-    "var_in_w", "var_in_b", "var_out_w", "var_out_b",
-)
+class ParamLayout(NamedTuple):
+    """Where every parameter sits in the concatenation of the raveled
+    ``RmdnParams`` fields, in field order, and what kind of entry it is.
+
+    ``free`` marks the trainable entries (the flat vector of
+    ``flatten_params`` is that subset, in order), ``pinned`` holds the fixed
+    values of the other entries (0 elsewhere) and ``tanh`` marks the
+    parameters of tanh nodes: their input weights and biases and the output
+    weights they feed. The arrays are cached and read-only.
+    """
+
+    shapes: tuple[tuple[int, ...], ...]
+    slices: tuple[slice, ...]
+    free: np.ndarray
+    pinned: np.ndarray
+    tanh: np.ndarray
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of a full-length vector, one per field, in field shape."""
+        return [flat[s].reshape(shape) for s, shape in zip(self.slices, self.shapes)]
+
+
+@functools.lru_cache(maxsize=32)
+def param_layout(n_components: int, k_hidden: int) -> ParamLayout:
+    """The parameter layout for N components and K hidden nodes."""
+    n, k = n_components, k_hidden
+    parts = {}  # field name -> (free mask, pinned values, tanh mask), in field shape
+    for net, width in (("mix", k), ("mean", k), ("var", 2 * k)):
+        # node 0 of each block of K hidden nodes is linear, pinned to the identity
+        linear = np.arange(width) % k == 0
+        out_tanh = np.broadcast_to(~linear, (n, width))
+        parts[f"{net}_in_w"] = (~linear, linear.astype(float), ~linear)
+        parts[f"{net}_in_b"] = (~linear, np.zeros(width), ~linear)
+        parts[f"{net}_out_w"] = (np.ones((n, width), bool), np.zeros((n, width)), out_tanh)
+        parts[f"{net}_out_b"] = (np.ones(n, bool), np.zeros(n), np.zeros(n, bool))
+    names = [f.name for f in fields(RmdnParams)]
+    shapes, slices, pos = [], [], 0
+    for name in names:
+        size = parts[name][0].size
+        shapes.append(parts[name][0].shape)
+        slices.append(slice(pos, pos + size))
+        pos += size
+    free, pinned, tanh = (np.concatenate([parts[name][i].ravel() for name in names])
+                          for i in range(3))
+    for arr in (free, pinned, tanh):
+        arr.flags.writeable = False
+    return ParamLayout(tuple(shapes), tuple(slices), free, pinned, tanh)
 
 
 @dataclass
@@ -176,32 +215,6 @@ def _softmax_rows(y: np.ndarray) -> np.ndarray:
     m = np.max(y, axis=-1, keepdims=True)
     e = np.exp(y - m)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def mixing_forward(r_t: float, params: RmdnParams, config: RmdnConfig) -> np.ndarray:
-    """Mixture weights eta for the next step, softmax over N logits."""
-    h = _hidden_batch(np.array([float(r_t)]), params.mix_in_w, params.mix_in_b)
-    logits = h @ params.mix_out_w.T + params.mix_out_b
-    return _softmax_rows(logits)[0]
-
-
-def mean_forward(r_t: float, params: RmdnParams, config: RmdnConfig) -> np.ndarray:
-    """Component means mu for the next step."""
-    h = _hidden_batch(np.array([float(r_t)]), params.mean_in_w, params.mean_in_b)
-    return (h @ params.mean_out_w.T + params.mean_out_b)[0]
-
-
-def variance_forward(state: RecurrentState, params: RmdnParams, config: RmdnConfig) -> np.ndarray:
-    """Component variances for the next step, strictly positive by construction."""
-    k = config.k_hidden
-    he = _hidden_batch(np.array([state.e2_prev]), params.var_in_w[:k], params.var_in_b[:k])[0]
-    hs = _hidden_batch(state.sigma2_prev, params.var_in_w[k:], params.var_in_b[k:])
-    z = (
-        params.var_out_w[:, :k] @ he
-        + np.sum(params.var_out_w[:, k:] * hs, axis=1)
-        + params.var_out_b
-    )
-    return positive_elu(z, config.elu_alpha, config.elu_eps)
 
 
 def presample_variances(values: np.ndarray) -> tuple[float, float]:
@@ -333,17 +346,9 @@ def unroll(series, params: RmdnParams, config: RmdnConfig,
 
 
 def _zeros_params(config: RmdnConfig) -> RmdnParams:
-    n, k = config.n_components, config.k_hidden
-    p = RmdnParams(
-        mix_in_w=np.zeros(k), mix_in_b=np.zeros(k),
-        mix_out_w=np.zeros((n, k)), mix_out_b=np.zeros(n),
-        mean_in_w=np.zeros(k), mean_in_b=np.zeros(k),
-        mean_out_w=np.zeros((n, k)), mean_out_b=np.zeros(n),
-        var_in_w=np.zeros(2 * k), var_in_b=np.zeros(2 * k),
-        var_out_w=np.zeros((n, 2 * k)), var_out_b=np.zeros(n),
-    )
-    p.pin()
-    return p
+    """Pinned entries at their fixed values, every other entry 0."""
+    layout = param_layout(config.n_components, config.k_hidden)
+    return RmdnParams(*layout.split(layout.pinned.copy()))
 
 
 def init_params(config: RmdnConfig, seed: int, scheme: str = "pretrain") -> RmdnParams:
@@ -366,7 +371,7 @@ def init_params(config: RmdnConfig, seed: int, scheme: str = "pretrain") -> Rmdn
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown init scheme {scheme!r}; expected one of {SCHEMES}")
-    n, k = config.n_components, config.k_hidden
+    n = config.n_components
     rng = np.random.default_rng(seed)
     p = _zeros_params(config)
 
@@ -380,21 +385,19 @@ def init_params(config: RmdnConfig, seed: int, scheme: str = "pretrain") -> Rmdn
     p.mix_out_w[:, 0] = u_lin
     p.mean_out_w[:, 0] = v_lin
 
+    layout = param_layout(n, config.k_hidden)
+    tanh = RmdnParams(*layout.split(layout.tanh))  # per-field tanh-node masks
     if scheme == "plain":
-        p.mix_in_w[1:] = rng.uniform(-0.5, 0.5, k - 1)
-        p.mix_in_b[1:] = 1.0
-        p.mean_in_w[1:] = rng.uniform(-0.5, 0.5, k - 1)
-        p.mean_in_b[1:] = 1.0
-        free = np.ones(2 * k, dtype=bool)
-        free[[0, k]] = False
-        p.var_in_w[free] = rng.uniform(-0.5, 0.5, 2 * k - 2)
-        p.var_in_b[free] = 1.0
-        p.mix_out_w[:, 1:] = rng.uniform(-0.5, 0.5, (n, k - 1))
-        p.mean_out_w[:, 1:] = rng.uniform(-0.5, 0.5, (n, k - 1))
+        for w, b, node in ((p.mix_in_w, p.mix_in_b, tanh.mix_in_w),
+                           (p.mean_in_w, p.mean_in_b, tanh.mean_in_w),
+                           (p.var_in_w, p.var_in_b, tanh.var_in_w)):
+            w[node] = rng.uniform(-0.5, 0.5, np.count_nonzero(node))
+            b[node] = 1.0
+        for w, node in ((p.mix_out_w, tanh.mix_out_w), (p.mean_out_w, tanh.mean_out_w)):
+            w[node] = rng.uniform(-0.5, 0.5, np.count_nonzero(node))
     else:
         # tanh nodes contribute tanh(0) * 0: structurally linear start
-        p.var_out_w[:, 1:k] = 0.0
-        p.var_out_w[:, k + 1:] = 0.0
+        p.var_out_w[tanh.var_out_w] = 0.0
     return p
 
 

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from rmdn import gradients
 from rmdn.cli import main
 from rmdn.data import load_csv
 from rmdn.gradients import nonlinear_node_mask
@@ -175,14 +176,21 @@ class TestGradcheck:
         assert main(["gradcheck"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_corrupt_fails(self, capsys):
-        assert main(["gradcheck", "--corrupt"]) == 1
+    def test_corrupt_fails(self, capsys, monkeypatch):
+        exact = gradients.gradient
+
+        def corrupted(*args):
+            loss, grad = exact(*args)
+            return loss, grad + 0.1
+
+        monkeypatch.setattr(gradients, "gradient", corrupted)
+        assert main(["gradcheck"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_reports_deviation_at_tight_tolerance(self, capsys):
         code = main(["gradcheck", "--tol", "1e-12"])
         out = capsys.readouterr().out
-        assert "max deviation" in out
+        assert "FAIL" in out and "max deviation" in out
         assert code == 1
 
 

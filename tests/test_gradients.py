@@ -9,8 +9,9 @@ from rmdn.garch import GarchParams, simulate_garch
 from rmdn.gradients import (apply_mask, finite_diff_check, flatten_params,
                             gradient, n_trainable, nonlinear_node_mask,
                             unflatten_params)
-from rmdn.network import (SCHEMES, RecurrentState, RmdnConfig, forward_pass,
-                          init_params, initial_state, unroll)
+from rmdn.network import (SCHEMES, RecurrentState, RmdnConfig, RmdnParams,
+                          forward_pass, init_params, initial_state,
+                          param_layout, unroll)
 
 PROBE = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)
 
@@ -36,6 +37,80 @@ class TestFlattening:
         cfg = RmdnConfig()
         with pytest.raises(ValueError):
             unflatten_params(np.zeros(n_trainable(cfg) + 1), cfg)
+
+
+def oracle_flatten(p, k):
+    """The flat order written out field by field: the pinned linear nodes
+    (row 0, and row K of the variance network) are left out."""
+    free_var = np.ones(2 * k, dtype=bool)
+    free_var[[0, k]] = False
+    return np.concatenate([
+        p.mix_in_w[1:], p.mix_in_b[1:], p.mix_out_w.ravel(), p.mix_out_b,
+        p.mean_in_w[1:], p.mean_in_b[1:], p.mean_out_w.ravel(), p.mean_out_b,
+        p.var_in_w[free_var], p.var_in_b[free_var], p.var_out_w.ravel(), p.var_out_b,
+    ])
+
+
+def oracle_tanh_mask(n, k):
+    """Tanh-node entries of the flat vector, written out field by field."""
+    in_tanh = np.ones(k - 1, dtype=bool)
+    out_tanh = np.zeros((n, k), dtype=bool)
+    out_tanh[:, 1:] = True
+    var_out_tanh = np.zeros((n, 2 * k), dtype=bool)
+    var_out_tanh[:, 1:k] = True
+    var_out_tanh[:, k + 1:] = True
+    no_bias = np.zeros(n, dtype=bool)
+    return np.concatenate([
+        in_tanh, in_tanh, out_tanh.ravel(), no_bias,
+        in_tanh, in_tanh, out_tanh.ravel(), no_bias,
+        np.ones(2 * k - 2, dtype=bool), np.ones(2 * k - 2, dtype=bool),
+        var_out_tanh.ravel(), no_bias,
+    ])
+
+
+def random_params(n, k, seed):
+    """Every entry drawn at random, pinned entries included."""
+    rng = np.random.default_rng(seed)
+    shapes = [(k,), (k,), (n, k), (n,)] * 2 + [(2 * k,), (2 * k,), (n, 2 * k), (n,)]
+    return RmdnParams(*(rng.normal(size=shape) for shape in shapes))
+
+
+def pinned_entries(p, k):
+    """The identity-pinned entries as (input weights, input biases)."""
+    return (np.concatenate([p.mix_in_w[:1], p.mean_in_w[:1], p.var_in_w[[0, k]]]),
+            np.concatenate([p.mix_in_b[:1], p.mean_in_b[:1], p.var_in_b[[0, k]]]))
+
+
+class TestLayoutAgainstOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_hand_coded_layout(self, n, k):
+        cfg = RmdnConfig(n_components=n, k_hidden=k)
+        assert n_trainable(cfg) == 8 * (k - 1) + 2 * n * (k + 1) + n * (2 * k + 1)
+
+        p = random_params(n, k, seed=10 * n + k)
+        np.testing.assert_array_equal(flatten_params(p, cfg), oracle_flatten(p, k))
+        np.testing.assert_array_equal(nonlinear_node_mask(cfg), oracle_tanh_mask(n, k))
+
+        theta = np.random.default_rng(n + 100 * k).normal(size=n_trainable(cfg))
+        for pinned, (w_fixed, b_fixed) in ((True, (1.0, 0.0)), (False, (0.0, 0.0))):
+            q = unflatten_params(theta, cfg, pinned=pinned)
+            np.testing.assert_array_equal(oracle_flatten(q, k), theta)
+            w, b = pinned_entries(q, k)
+            assert np.all(w == w_fixed) and np.all(b == b_fixed)
+
+        pinned_copy = p.copy()
+        pinned_copy.pin()
+        np.testing.assert_array_equal(oracle_flatten(pinned_copy, k), oracle_flatten(p, k))
+        w, b = pinned_entries(pinned_copy, k)
+        assert np.all(w == 1.0) and np.all(b == 0.0)
+
+    def test_cached_arrays_are_read_only(self):
+        layout = param_layout(2, 3)
+        for arr in (layout.free, layout.pinned, layout.tanh):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        assert param_layout(2, 3) is layout
 
 
 class TestMask:

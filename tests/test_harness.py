@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from rmdn.mixture import nll
 from rmdn.network import (RecurrentState, RmdnConfig, init_params,
                           initial_state, unroll)
 from rmdn.optim import CONVERGED, NOT_CONVERGED, TrainSchedule
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def tiny_benchmark(workers=1, meta_seed=5):
@@ -156,6 +160,16 @@ class TestModelFiles:
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFileError, match="shape mismatch"):
             load_model(path)
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("pretrained-seed*.json")),
+                             ids=lambda path: path.name)
+    def test_committed_model_file_rewrites_byte_identically(self, fixture, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(*load_model(fixture), path)
+        # the fixture is save_model's file with a "provenance" member appended
+        head, sep, _ = fixture.read_bytes().partition(b',\n "provenance": ')
+        assert sep
+        assert path.read_bytes() == head + b"\n}\n"
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "model.json"

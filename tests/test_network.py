@@ -8,11 +8,24 @@ from hypothesis import assume, given, settings, strategies as st
 from rmdn.garch import GarchParams, garch_filter, simulate_garch
 from rmdn.mixture import MixturePath, nll
 from rmdn.network import (RecurrentState, RmdnConfig, forward_pass,
-                          init_params, initial_state, mean_forward,
-                          mixing_forward, params_from_garch, positive_elu,
-                          unroll, variance_forward)
+                          init_params, initial_state, params_from_garch,
+                          positive_elu, unroll)
 
 PROBE = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)
+
+
+def weights_and_means_after(r, p, config):
+    """Mixture weights and means predicted after input return r: row 1 of a
+    forward pass over [r, 0]."""
+    cache = forward_pass(np.array([r, 0.0]), p, config,
+                         RecurrentState(np.ones(config.n_components), 1.0))
+    return cache.eta[1], cache.mu[1]
+
+
+def variances_after(state, p, config):
+    """Component variances predicted from a recurrent state: row 0 of a
+    one-step forward pass started there."""
+    return forward_pass(np.array([0.0]), p, config, state).sigma2[0]
 
 
 def reference_forward(r_t, e2_prev, s2_prev, p, config):
@@ -166,7 +179,7 @@ class TestMixingForward:
         p = init_params(cfg, 0, "plain")
         p.mix_out_w[:] = p.mix_out_w[0]
         p.mix_out_b[:] = p.mix_out_b[0]
-        eta = mixing_forward(0.7, p, cfg)
+        eta, _ = weights_and_means_after(0.7, p, cfg)
         np.testing.assert_allclose(eta, np.full(3, 1 / 3), rtol=1e-14)
 
     def test_linear_only_matches_affine_softmax(self):
@@ -179,20 +192,22 @@ class TestMixingForward:
         m = max(logits)
         exps = [math.exp(v - m) for v in logits]
         expected = np.array(exps) / sum(exps)
-        np.testing.assert_allclose(mixing_forward(r, p, cfg), expected, rtol=1e-14)
+        eta, _ = weights_and_means_after(r, p, cfg)
+        np.testing.assert_allclose(eta, expected, rtol=1e-14)
 
     def test_bias_shift_invariance(self):
         cfg = RmdnConfig()
         p = init_params(cfg, 2, "plain")
-        eta = mixing_forward(0.5, p, cfg)
+        eta, _ = weights_and_means_after(0.5, p, cfg)
         shifted = p.copy()
         shifted.mix_out_b += 17.0
-        np.testing.assert_allclose(mixing_forward(0.5, shifted, cfg), eta, rtol=1e-12)
+        eta_shifted, _ = weights_and_means_after(0.5, shifted, cfg)
+        np.testing.assert_allclose(eta_shifted, eta, rtol=1e-12)
 
     def test_weights_sum_to_one(self):
         cfg = RmdnConfig(n_components=3)
         p = init_params(cfg, 3, "plain")
-        eta = mixing_forward(-2.0, p, cfg)
+        eta, _ = weights_and_means_after(-2.0, p, cfg)
         assert abs(float(eta.sum()) - 1.0) < 1e-12
         assert np.all(eta > 0)
 
@@ -204,25 +219,16 @@ class TestMeanForward:
         p.mean_out_w[:, 0] = [0.5, -0.2]
         p.mean_out_b[:] = [0.1, 0.3]
         r = -0.8
-        np.testing.assert_allclose(
-            mean_forward(r, p, cfg), [0.5 * r + 0.1, -0.2 * r + 0.3], rtol=1e-14
-        )
+        _, mu = weights_and_means_after(r, p, cfg)
+        np.testing.assert_allclose(mu, [0.5 * r + 0.1, -0.2 * r + 0.3], rtol=1e-14)
 
     def test_all_zero_weights_give_zero(self):
         cfg = RmdnConfig()
         p = init_params(cfg, 0, "plain")
         p.mean_out_w[:] = 0.0
         p.mean_out_b[:] = 0.0
-        np.testing.assert_array_equal(mean_forward(1.7, p, cfg), np.zeros(2))
-
-    def test_matches_reference_formula(self):
-        rng = np.random.default_rng(6)
-        cfg = RmdnConfig(n_components=2, k_hidden=3)
-        p = init_params(cfg, 7, "plain")
-        for _ in range(5):
-            r = float(rng.normal())
-            _, mu_ref, _ = reference_forward(r, 1.0, np.ones(2), p, cfg)
-            np.testing.assert_allclose(mean_forward(r, p, cfg), mu_ref, atol=1e-14)
+        _, mu = weights_and_means_after(1.7, p, cfg)
+        np.testing.assert_array_equal(mu, np.zeros(2))
 
 
 class TestVarianceForward:
@@ -235,26 +241,15 @@ class TestVarianceForward:
         p.var_out_b[0] = 3.0
         state = RecurrentState([1.5], 2.0)
         expected = 0.2 * 2.0 + 0.5 * 1.5 + 3.0 + 1.0 + cfg.elu_eps
-        assert variance_forward(state, p, cfg)[0] == pytest.approx(expected, rel=1e-14)
+        assert variances_after(state, p, cfg)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_all_zero_weights_give_one_plus_eps(self):
         cfg = RmdnConfig()
         p = init_params(cfg, 0, "plain")
         p.var_out_w[:] = 0.0
         p.var_out_b[:] = 0.0
-        out = variance_forward(RecurrentState(np.ones(2), 1.0), p, cfg)
+        out = variances_after(RecurrentState(np.ones(2), 1.0), p, cfg)
         np.testing.assert_allclose(out, 1.0 + cfg.elu_eps, rtol=1e-15)
-
-    def test_matches_reference_formula(self):
-        rng = np.random.default_rng(9)
-        cfg = RmdnConfig(n_components=2, k_hidden=2)
-        p = init_params(cfg, 10, "plain")
-        for _ in range(5):
-            s2 = rng.uniform(0.5, 2.0, 2)
-            e2 = float(rng.uniform(0.0, 2.0))
-            _, _, s2_ref = reference_forward(0.0, e2, s2, p, cfg)
-            out = variance_forward(RecurrentState(s2, e2), p, cfg)
-            np.testing.assert_allclose(out, s2_ref, atol=1e-14)
 
     def test_always_positive(self):
         rng = np.random.default_rng(10)
@@ -262,7 +257,7 @@ class TestVarianceForward:
         for seed in range(5):
             p = init_params(cfg, seed, "plain")
             p.var_out_b[:] = -50.0  # drive the unit deep into saturation
-            out = variance_forward(
+            out = variances_after(
                 RecurrentState(rng.uniform(0.1, 5, 2), float(rng.uniform(0, 5))), p, cfg
             )
             assert np.all(out > 0)
@@ -275,10 +270,10 @@ class TestUnroll:
         init = RecurrentState([2.0], 3.0)
         steps, final = unroll([0.5], p, cfg, init)
         assert len(steps) == 1
-        np.testing.assert_allclose(
-            steps[0].sigma2, variance_forward(init, p, cfg), rtol=1e-14
-        )
-        np.testing.assert_allclose(steps[0].mu, mean_forward(0.0, p, cfg), rtol=1e-14)
+        eta_ref, mu_ref, s2_ref = reference_forward(0.0, 3.0, [2.0], p, cfg)
+        np.testing.assert_allclose(steps[0].eta, eta_ref, rtol=1e-14)
+        np.testing.assert_allclose(steps[0].mu, mu_ref, rtol=1e-14)
+        np.testing.assert_allclose(steps[0].sigma2, s2_ref, rtol=1e-14)
         # final state carries the new variance and the realized residual
         mu_bar = float(steps[0].eta @ steps[0].mu)
         assert final.e2_prev == pytest.approx((0.5 - mu_bar) ** 2, rel=1e-14)
