@@ -8,17 +8,15 @@ usage or I/O errors.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
 
 from .data import (ParseError, ReturnSeries, TwoRegimeSpec, load_csv,
                    simulate_mixture_process, write_csv)
 from .garch import GarchFitError, GarchParams, fit_garch, simulate_garch
-from .gradients import finite_diff_check, nonlinear_node_mask
-from .harness import (MODEL_SCHEMA_VERSION, ModelFileError, render_report,
-                      run_benchmark, save_model)
+from .gradients import finite_diff_check
+from .harness import (METHOD_PLAIN, METHOD_PRETRAINED, ModelFileError, arm_setup,
+                      render_report, run_benchmark, save_garch_model, save_model)
 from .network import RmdnConfig, forward_pass, init_params, initial_state
 from .optim import TrainSchedule, classify_convergence, train
 
@@ -105,9 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="training runs per arm, seeds sampled from [0, 50000] (default: 10)")
     bench.add_argument("--meta-seed", type=int, default=0,
                        help="seed for sampling the run seeds (default: 0)")
-    bench.add_argument("--workers", type=int,
-                       default=int(os.environ.get("RMDN_WORKERS", "1")),
-                       help="parallel worker processes (default: $RMDN_WORKERS or 1)")
+    bench.add_argument("--workers", type=int, default=1,
+                       help="parallel worker processes (default: 1)")
     bench.add_argument("--out", default="benchmark_report",
                        help="output path prefix for .txt and .csv reports "
                             "(default: benchmark_report)")
@@ -159,26 +156,14 @@ def _cmd_fit(args) -> int:
             f"status={classify_convergence(loglik)}"
         )
         if args.save:
-            payload = {
-                "schema_version": MODEL_SCHEMA_VERSION,
-                "model": "garch",
-                "params": {"a0": params.a0, "a1": params.a1, "alpha0": params.alpha0,
-                           "alpha1": params.alpha1, "beta1": params.beta1},
-                "loglik": loglik,
-            }
-            Path(args.save).write_text(json.dumps(payload, indent=1) + "\n",
-                                       encoding="utf-8")
+            save_garch_model(params, loglik, args.save)
             print(f"model written to {args.save}")
         return 0
 
     config = RmdnConfig(args.components, args.hidden, args.alpha, args.eps)
-    schedule = TrainSchedule(args.pretrain_epochs, args.epochs, args.lr)
-    if args.pretrain_epochs > 0:
-        params = init_params(config, args.seed, "pretrain")
-        mask = nonlinear_node_mask(config)
-    else:
-        params = init_params(config, args.seed, "plain")
-        mask = None
+    method = METHOD_PRETRAINED if args.pretrain_epochs > 0 else METHOD_PLAIN
+    params, mask, schedule = arm_setup(
+        method, config, TrainSchedule(args.pretrain_epochs, args.epochs, args.lr), args.seed)
     report = train(series, params, config, schedule, mask=mask)
     print(
         f"rmdn fit on {series.name}: loglik={report.final_loglik:.4f} "

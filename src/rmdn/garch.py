@@ -6,11 +6,14 @@ Model:
     sigma2_{t+1} = alpha0 + alpha1 * e2_t + beta1 * sigma2_t,  e_t = r_t - mu_t
 
 Presample conventions (shared with the network module so the nested models
-agree step by step, and computed by ``network.presample_variances``): r_0 = 0,
-e2_0 = population variance of the series, sigma2_0 = init_var (defaults to
-the same population variance). The first filtered pair is therefore mu_1 =
-a0 and sigma2_1 = alpha0 + alpha1*e2_0 + beta1*init_var.
+agree step by step, and computed by ``network.presample_variances`` and
+``network.lagged``): r_0 = 0, e2_0 = population variance of the series,
+sigma2_0 = init_var (defaults to the same population variance). The first
+filtered pair is therefore mu_1 = a0 and sigma2_1 = alpha0 + alpha1*e2_0 +
+beta1*init_var. ``fit_garch`` takes the same presample pair.
 
+The filter and the likelihood gradient run one recursion over raw
+coefficients, ``_recursion``, with the variance as a linear filter.
 Fitting maximizes the likelihood by Adam on an unconstrained scale:
 alpha0 = exp(t0), and (alpha1, beta1) = (p*s, p*(1-s)) with p, s logistic,
 which enforces positivity and alpha1 + beta1 < 1. The gradient of the
@@ -27,7 +30,7 @@ from scipy.signal import lfilter
 from scipy.special import expit
 
 from .mixture import LOG_2PI, _as_values
-from .network import presample_variances
+from .network import lagged, presample_variances
 from .optim import AdamState, adam_step
 
 
@@ -58,6 +61,21 @@ class GarchParams:
         return self.alpha0 / (1.0 - self.alpha1 - self.beta1)
 
 
+def _recursion(values: np.ndarray, a0: float, a1: float, alpha0: float, alpha1: float,
+               beta1: float, init_var: float, e2_0: float) -> tuple[np.ndarray, ...]:
+    """The AR(1)-GARCH(1,1) recursion over raw coefficients: the lagged
+    returns, means, residuals, squared residuals, lagged squared residuals
+    and conditional variances, each (T,)."""
+    r_prev = lagged(0.0, values)
+    mu = a0 + a1 * r_prev
+    e = values - mu
+    e2 = e * e
+    e2_prev = lagged(e2_0, e2)
+    x = alpha0 + alpha1 * e2_prev
+    sigma2 = lfilter([1.0], [1.0, -beta1], x, zi=[beta1 * init_var])[0]
+    return r_prev, mu, e, e2, e2_prev, sigma2
+
+
 def garch_filter(series, params: GarchParams, init_var: float | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional means and variances for each observation.
@@ -71,16 +89,8 @@ def garch_filter(series, params: GarchParams, init_var: float | None = None
         init_var = sigma2_0
     if not init_var > 0:
         raise ValueError("init_var must be positive")
-    r_prev = np.empty_like(values)
-    r_prev[0] = 0.0
-    r_prev[1:] = values[:-1]
-    mu = params.a0 + params.a1 * r_prev
-    e2 = (values - mu) ** 2
-    e2_prev = np.empty_like(values)
-    e2_prev[0] = e2_0
-    e2_prev[1:] = e2[:-1]
-    x = params.alpha0 + params.alpha1 * e2_prev
-    sigma2 = lfilter([1.0], [1.0, -params.beta1], x, zi=[params.beta1 * init_var])[0]
+    _, mu, _, _, _, sigma2 = _recursion(values, params.a0, params.a1, params.alpha0,
+                                        params.alpha1, params.beta1, init_var, e2_0)
     return mu, sigma2
 
 
@@ -116,18 +126,8 @@ def _nll_grad_unconstrained(theta: np.ndarray, values: np.ndarray,
     s = float(expit(ts))
     alpha1 = p * s
     beta1 = p * (1.0 - s)
-
-    r_prev = np.empty_like(values)
-    r_prev[0] = 0.0
-    r_prev[1:] = values[:-1]
-    mu = a0 + a1 * r_prev
-    e = values - mu
-    e2 = e * e
-    e2_prev = np.empty_like(values)
-    e2_prev[0] = e2_0
-    e2_prev[1:] = e2[:-1]
-    x = alpha0 + alpha1 * e2_prev
-    sigma2 = lfilter([1.0], [1.0, -beta1], x, zi=[beta1 * init_var])[0]
+    r_prev, _, e, e2, e2_prev, sigma2 = _recursion(values, a0, a1, alpha0, alpha1, beta1,
+                                                   init_var, e2_0)
 
     inv_s2 = 1.0 / sigma2
     loss = float(0.5 * np.sum(LOG_2PI + np.log(sigma2) + e2 * inv_s2))
@@ -148,10 +148,7 @@ def _nll_grad_unconstrained(theta: np.ndarray, values: np.ndarray,
     ga1 = float(np.sum(gmu * r_prev))
     galpha0 = float(np.sum(g_s2))
     galpha1 = float(np.sum(g_s2 * e2_prev))
-    s2_lag = np.empty_like(sigma2)
-    s2_lag[0] = init_var
-    s2_lag[1:] = sigma2[:-1]
-    gbeta1 = float(np.sum(g_s2 * s2_lag))
+    gbeta1 = float(np.sum(g_s2 * lagged(init_var, sigma2)))
 
     gt0 = galpha0 * alpha0
     gtp = (galpha1 * s + gbeta1 * (1.0 - s)) * p * (1.0 - p)
@@ -170,12 +167,10 @@ def fit_garch(series, n_steps: int = 2000, learning_rate: float = 0.05
     values = _as_values(series)
     if values.size < 50:
         raise ValueError("fit_garch needs at least 50 observations")
-    var = float(np.var(values))
-    if not var > 0:
+    init_var, e2_0 = presample_variances(values)
+    if not e2_0 > 0:
         raise GarchFitError("constant series has no GARCH likelihood")
-    init_var = var
-    e2_0 = var
-    start = GarchParams(float(np.mean(values)), 0.0, 0.05 * var, 0.05, 0.90)
+    start = GarchParams(float(np.mean(values)), 0.0, 0.05 * e2_0, 0.05, 0.90)
     theta = _unconstrain(start)
 
     best_loss = math.inf

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .data import sample_seeds
-from .garch import GarchFitError, fit_garch
+from .garch import GarchFitError, GarchParams, fit_garch
 from .gradients import nonlinear_node_mask
 from .network import (RecurrentState, RmdnConfig, RmdnParams, init_params,
                       param_layout)
@@ -92,6 +92,19 @@ def derive_run_seed(meta_seed: int, series_name: str, seed: int, method: str) ->
     return int.from_bytes(hashlib.sha256(key).digest()[:4], "big")
 
 
+def arm_setup(method: str, config: RmdnConfig, schedule: TrainSchedule, seed: int
+              ) -> tuple[RmdnParams, np.ndarray | None, TrainSchedule]:
+    """Initial parameters, gradient mask and schedule of one RMDN arm.
+
+    ``pretrained`` starts its tanh nodes at zero and masks them for the
+    pretraining epochs; ``plain`` starts every node at random and skips
+    pretraining.
+    """
+    if method == METHOD_PRETRAINED:
+        return init_params(config, seed, "pretrain"), nonlinear_node_mask(config), schedule
+    return init_params(config, seed, "plain"), None, replace(schedule, pretrain_epochs=0)
+
+
 def _run_task(task) -> RunRecord:
     series, config, schedule, meta_seed, seed, method = task
     start = time.perf_counter()
@@ -105,15 +118,8 @@ def _run_task(task) -> RunRecord:
                          classify_convergence(loglik), 0,
                          time.perf_counter() - start)
 
-    run_seed = derive_run_seed(meta_seed, series.name, seed, method)
-    if method == METHOD_PRETRAINED:
-        params = init_params(config, run_seed, "pretrain")
-        mask = nonlinear_node_mask(config)
-        run_schedule = schedule
-    else:
-        params = init_params(config, run_seed, "plain")
-        mask = None
-        run_schedule = replace(schedule, pretrain_epochs=0)
+    params, mask, run_schedule = arm_setup(
+        method, config, schedule, derive_run_seed(meta_seed, series.name, seed, method))
     report = train(series, params, config, run_schedule, mask=mask)
     return RunRecord(series.name, method, seed, report.final_loglik, report.status,
                      report.epochs_completed, time.perf_counter() - start)
@@ -150,35 +156,31 @@ def run_benchmark(series_list, n_seeds: int, config: RmdnConfig | None = None,
             records = list(pool.map(_run_task, tasks))
 
     records.sort(key=lambda r: (r.series, r.method, -1 if r.seed is None else r.seed))
-    echo = {
-        "n_components": config.n_components,
-        "k_hidden": config.k_hidden,
-        "elu_alpha": config.elu_alpha,
-        "elu_eps": config.elu_eps,
-        "learning_rate": schedule.learning_rate,
-        "pretrain_epochs": schedule.pretrain_epochs,
-        "train_epochs": schedule.train_epochs,
-        "meta_seed": meta_seed,
-        "seeds": seeds,
-    }
+    echo = {**asdict(config), **asdict(schedule), "meta_seed": meta_seed, "seeds": seeds}
     return BenchmarkReport(records, echo)
+
+
+def _write_model_file(path, **sections) -> None:
+    """Write a schema-versioned JSON model file; floats keep full precision."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"schema_version": MODEL_SCHEMA_VERSION, **sections}, fh, indent=1)
+        fh.write("\n")
 
 
 def save_model(params: RmdnParams, config: RmdnConfig, state: RecurrentState,
                path) -> None:
-    """Write a schema-versioned JSON model file; floats keep full precision."""
-    payload = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "config": asdict(config),
-        "params": {f.name: getattr(params, f.name).tolist() for f in fields(params)},
-        "state": {
-            "sigma2_prev": state.sigma2_prev.tolist(),
-            "e2_prev": state.e2_prev,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    """Write an RMDN model file: config, parameters and recurrent state."""
+    _write_model_file(
+        path,
+        config=asdict(config),
+        params={f.name: getattr(params, f.name).tolist() for f in fields(params)},
+        state={"sigma2_prev": state.sigma2_prev.tolist(), "e2_prev": state.e2_prev},
+    )
+
+
+def save_garch_model(params: GarchParams, loglik: float, path) -> None:
+    """Write a GARCH model file: the five coefficients and the log-likelihood."""
+    _write_model_file(path, model="garch", params=asdict(params), loglik=loglik)
 
 
 def load_model(path) -> tuple[RmdnParams, RmdnConfig, RecurrentState]:

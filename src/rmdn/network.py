@@ -37,6 +37,7 @@ Presample conventions (shared with the GARCH baseline so the nested models
 agree step by step): the input return before the sample starts is 0, the
 presample squared residual is the population variance of the series, and the
 presample conditional variance defaults to the same (``presample_variances``).
+Every lagged input is ``lagged(presample value, series)``.
 """
 
 from __future__ import annotations
@@ -231,6 +232,15 @@ def presample_variances(values: np.ndarray) -> tuple[float, float]:
     return (var if var > 0.0 else 1.0), var
 
 
+def lagged(first, x: np.ndarray) -> np.ndarray:
+    """``x`` one step later along its first axis, ``first`` in front: row t is
+    what step t reads from step t-1, and row 0 is the presample value."""
+    out = np.empty_like(x)
+    out[0] = first
+    out[1:] = x[:-1]
+    return out
+
+
 def initial_state(series, config: RmdnConfig) -> RecurrentState:
     """Presample state: ``presample_variances`` for every component."""
     sigma2_0, e2_0 = presample_variances(_as_values(series))
@@ -295,9 +305,7 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
     n, k = config.n_components, config.k_hidden
     alpha, one_eps = config.elu_alpha, 1.0 + config.elu_eps
 
-    inputs = np.empty(t_len)
-    inputs[0] = 0.0
-    inputs[1:] = values[:-1]
+    inputs = lagged(0.0, values)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hm = _hidden_batch(inputs, params.mix_in_w, params.mix_in_b)
@@ -307,9 +315,7 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
 
         resid = values - np.sum(eta * mu, axis=1)
         e2 = resid * resid
-        e2_prev = np.empty(t_len)
-        e2_prev[0] = init.e2_prev
-        e2_prev[1:] = e2[:-1]
+        e2_prev = lagged(init.e2_prev, e2)
         he = _hidden_batch(e2_prev, params.var_in_w[:k], params.var_in_b[:k])
         drive = he @ params.var_out_w[:, :k].T + params.var_out_b
 
@@ -321,9 +327,7 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
                 drive[:, i].tolist(), float(init.sigma2_prev[i]),
                 params.var_out_w[i, k:].tolist(), in_w, in_b, alpha, one_eps)
 
-        s2_prev = np.empty((t_len, n))
-        s2_prev[0] = init.sigma2_prev
-        s2_prev[1:] = sigma2[:-1]
+        s2_prev = lagged(init.sigma2_prev, sigma2)
         hs = _hidden_batch(s2_prev, params.var_in_w[k:], params.var_in_b[k:])
         dpelu = np.where(z > 0.0, 1.0, alpha * np.expm1(np.minimum(z, 0.0)) + alpha)
 

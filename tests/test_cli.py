@@ -6,9 +6,10 @@ import pytest
 from rmdn import gradients
 from rmdn.cli import main
 from rmdn.data import load_csv
-from rmdn.gradients import nonlinear_node_mask
-from rmdn.harness import save_model
-from rmdn.network import RmdnConfig, init_params, initial_state, unroll
+from rmdn.garch import fit_garch
+from rmdn.harness import (METHOD_PLAIN, METHOD_PRETRAINED, arm_setup, save_garch_model,
+                          save_model)
+from rmdn.network import RmdnConfig, initial_state, unroll
 from rmdn.optim import TrainSchedule, train
 
 
@@ -74,8 +75,12 @@ class TestFit:
         assert main(["fit", "--model", "garch", "--save", str(path),
                      str(garch_csv)]) == 0
         payload = json.loads(path.read_text())
+        assert list(payload) == ["schema_version", "model", "params", "loglik"]
         assert payload["model"] == "garch"
-        assert sorted(payload["params"]) == ["a0", "a1", "alpha0", "alpha1", "beta1"]
+        assert list(payload["params"]) == ["a0", "a1", "alpha0", "alpha1", "beta1"]
+        expected = tmp_path / "expected.json"
+        save_garch_model(*fit_garch(load_csv(garch_csv)), expected)
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_rmdn_schedule_flags(self, garch_csv, capsys):
         code = main(["fit", "--model", "rmdn", "--pretrain-epochs", "2",
@@ -102,18 +107,23 @@ class TestFit:
         params, config, state = load_model(model_path)
         assert config.n_components == 2 and config.k_hidden == 2
 
-    def test_saved_model_holds_the_unrolled_final_state(self, garch_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("pretrain_epochs", [1, 0])
+    def test_saved_model_holds_the_unrolled_final_state(self, garch_csv, tmp_path, capsys,
+                                                        pretrain_epochs):
         """The saved file is byte for byte what save_model writes for the
-        trained parameters and the final state of a full unroll."""
+        parameters trained on the harness's setup of the same arm and the
+        final state of a full unroll."""
         model_path = tmp_path / "model.json"
-        code = main(["fit", "--model", "rmdn", "--pretrain-epochs", "1",
+        code = main(["fit", "--model", "rmdn", "--pretrain-epochs", str(pretrain_epochs),
                      "--epochs", "2", "--components", "2", "--hidden", "2",
                      "--seed", "3", "--save", str(model_path), str(garch_csv)])
         assert code == 0
         series = load_csv(garch_csv)
         config = RmdnConfig(n_components=2, k_hidden=2)
-        report = train(series, init_params(config, 3, "pretrain"), config,
-                       TrainSchedule(1, 2, 0.01), mask=nonlinear_node_mask(config))
+        method = METHOD_PRETRAINED if pretrain_epochs else METHOD_PLAIN
+        params, mask, schedule = arm_setup(method, config,
+                                           TrainSchedule(pretrain_epochs, 2, 0.01), 3)
+        report = train(series, params, config, schedule, mask=mask)
         _, state = unroll(series, report.final_params, config, initial_state(series, config))
         expected = tmp_path / "expected.json"
         save_model(report.final_params, config, state, expected)
@@ -175,6 +185,10 @@ class TestGradcheck:
     def test_default_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_ignores_workers_environment_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("RMDN_WORKERS", "two")
+        assert main(["gradcheck"]) == 0
 
     def test_corrupt_fails(self, capsys, monkeypatch):
         exact = gradients.gradient

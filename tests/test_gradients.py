@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rmdn.garch import GarchParams, simulate_garch
 from rmdn.gradients import (apply_mask, finite_diff_check, flatten_params,
@@ -251,8 +251,18 @@ def gradient_cases(draw):
     return series.values, p, cfg
 
 
+def two_point_failure_case():
+    """Two-point differences at h = 1e-6 deviate from the analytic gradient
+    here by 1.28e-5 (truncation error), above the tol of 1e-5."""
+    cfg = RmdnConfig(n_components=3, k_hidden=1)
+    p = init_params(cfg, 77, "plain")
+    p.var_out_b[:] = [0.0, -3.0, 2.0]
+    return simulate_garch(PROBE, 36, seed=2924).values, p, cfg
+
+
 class TestGradientProperties:
     @given(gradient_cases())
+    @example(two_point_failure_case())
     @settings(deadline=None, max_examples=30)
     def test_finite_difference_agreement(self, case):
         values, p, cfg = case

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from rmdn import harness
-from rmdn.data import ReturnSeries
+from rmdn.data import ReturnSeries, sample_seeds
 from rmdn.garch import GarchParams, simulate_garch
+from rmdn.gradients import flatten_params, nonlinear_node_mask
 from rmdn.harness import (ALL_METHODS, METHOD_GARCH, METHOD_PLAIN,
                           METHOD_PRETRAINED, BenchmarkReport, ModelFileError,
-                          RunRecord, derive_run_seed, load_model,
+                          RunRecord, arm_setup, derive_run_seed, load_model,
                           render_report, run_benchmark, save_model)
 from rmdn.mixture import nll
 from rmdn.network import (RecurrentState, RmdnConfig, init_params,
@@ -87,6 +88,28 @@ class TestRunBenchmark:
         c = derive_run_seed(1, "x", 123, METHOD_PRETRAINED)
         d = derive_run_seed(0, "y", 123, METHOD_PRETRAINED)
         assert len({a, b, c, d}) == 4
+
+    def test_arm_setup(self):
+        config = RmdnConfig(n_components=2, k_hidden=3)
+        schedule = TrainSchedule(4, 9, 0.03)
+        params, mask, run_schedule = arm_setup(METHOD_PRETRAINED, config, schedule, 17)
+        np.testing.assert_array_equal(flatten_params(params, config),
+                                      flatten_params(init_params(config, 17, "pretrain"), config))
+        np.testing.assert_array_equal(mask, nonlinear_node_mask(config))
+        assert run_schedule == schedule
+        params, mask, run_schedule = arm_setup(METHOD_PLAIN, config, schedule, 17)
+        np.testing.assert_array_equal(flatten_params(params, config),
+                                      flatten_params(init_params(config, 17, "plain"), config))
+        assert mask is None
+        assert run_schedule == TrainSchedule(0, 9, 0.03)
+
+    def test_config_echo_names_every_setting(self):
+        report = tiny_benchmark(meta_seed=5)
+        assert report.config_echo == {
+            "n_components": 2, "k_hidden": 2, "elu_alpha": 1.0, "elu_eps": 1e-6,
+            "pretrain_epochs": 3, "train_epochs": 8, "learning_rate": 0.02,
+            "meta_seed": 5, "seeds": sample_seeds(2, 0, 50000, meta_seed=5),
+        }
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
