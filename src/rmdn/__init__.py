@@ -11,8 +11,7 @@ from .gradients import (FiniteDiffReport, apply_mask, finite_diff_check,
                         nonlinear_node_mask, unflatten_params)
 from .harness import (BenchmarkReport, ModelFileError, RunRecord, load_model,
                       render_report, run_benchmark, save_model)
-from .mixture import (MixturePath, MixtureStep, log_density, logsumexp,
-                      mixture_moments, nll, sample)
+from .mixture import MixturePath, MixtureStep, log_density, logsumexp, nll
 from .network import (RecurrentState, RmdnConfig, RmdnParams, init_params,
                       initial_state, params_from_garch, positive_elu, unroll)
 from .optim import (CONVERGED, NOT_CONVERGED, AdamState, TrainReport,

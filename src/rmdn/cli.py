@@ -203,7 +203,7 @@ def _cmd_gradcheck(args) -> int:
     init = initial_state(series, config)
     report = finite_diff_check(series, params, config, init, tol=args.tol)
     max_dev = report.max_deviation
-    if max_dev <= args.tol:
+    if report.passed:
         print(f"gradcheck PASS: max deviation {max_dev:.3e} <= tol {args.tol:.1e}")
         return 0
     print(f"gradcheck FAIL: max deviation {max_dev:.3e} > tol {args.tol:.1e}")

@@ -45,9 +45,10 @@ class ReturnSeries:
         return int(self.values.size)
 
 
-def load_csv(path, value_column: str = "return", label_column: str | None = None,
-             name: str | None = None) -> ReturnSeries:
-    """Parse a return series from a headered CSV file.
+def load_csv(path, value_column: str = "return", label_column: str | None = None
+             ) -> ReturnSeries:
+    """Parse a return series, named after the file's stem, from a headered
+    CSV file.
 
     Errors name the offending column or row (header is row 1).
     """
@@ -95,23 +96,23 @@ def load_csv(path, value_column: str = "return", label_column: str | None = None
     return ReturnSeries(
         np.array(values),
         labels=labels if l_idx is not None else None,
-        name=name or path.stem,
+        name=path.stem,
     )
 
 
-def write_csv(series: ReturnSeries, path, value_column: str = "return",
-              label_column: str = "date") -> None:
-    """Write a series so that ``load_csv`` reproduces the values exactly
-    (floats serialized with repr round-trip precision)."""
+def write_csv(series: ReturnSeries, path) -> None:
+    """Write a series, values under "return" and any labels under "date", so
+    that ``load_csv`` reproduces the values exactly (floats serialized with
+    repr round-trip precision)."""
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if series.labels is not None:
-            writer.writerow([label_column, value_column])
+            writer.writerow(["date", "return"])
             for label, value in zip(series.labels, series.values):
                 writer.writerow([label, repr(float(value))])
         else:
-            writer.writerow([value_column])
+            writer.writerow(["return"])
             for value in series.values:
                 writer.writerow([repr(float(value))])
 

@@ -8,9 +8,9 @@ Model:
 Presample conventions (shared with the network module so the nested models
 agree step by step, and computed by ``network.presample_variances`` and
 ``network.lagged``): r_0 = 0, e2_0 = population variance of the series,
-sigma2_0 = init_var (defaults to the same population variance). The first
-filtered pair is therefore mu_1 = a0 and sigma2_1 = alpha0 + alpha1*e2_0 +
-beta1*init_var. ``fit_garch`` takes the same presample pair.
+sigma2_0 = the same (1.0 for a constant series). The first filtered pair is
+therefore mu_1 = a0 and sigma2_1 = alpha0 + alpha1*e2_0 + beta1*sigma2_0.
+``fit_garch`` takes the same presample pair.
 
 The filter and the likelihood gradient run one recursion over raw
 coefficients, ``_recursion``, with the variance as a linear filter.
@@ -32,6 +32,10 @@ from scipy.special import expit
 from .mixture import LOG_2PI, _as_values
 from .network import lagged, presample_variances
 from .optim import AdamState, adam_step
+
+# fit_garch's Adam schedule
+_FIT_STEPS = 2000
+_FIT_LEARNING_RATE = 0.05
 
 
 class GarchFitError(RuntimeError):
@@ -76,28 +80,20 @@ def _recursion(values: np.ndarray, a0: float, a1: float, alpha0: float, alpha1: 
     return r_prev, mu, e, e2, e2_prev, sigma2
 
 
-def garch_filter(series, params: GarchParams, init_var: float | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional means and variances for each observation.
-
-    ``init_var`` overrides the presample conditional variance; the presample
-    squared residual is always the population variance of the series.
-    """
+def garch_filter(series, params: GarchParams) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional means and variances for each observation, from the
+    presample pair of ``presample_variances``."""
     values = _as_values(series)
     sigma2_0, e2_0 = presample_variances(values)
-    if init_var is None:
-        init_var = sigma2_0
-    if not init_var > 0:
-        raise ValueError("init_var must be positive")
     _, mu, _, _, _, sigma2 = _recursion(values, params.a0, params.a1, params.alpha0,
-                                        params.alpha1, params.beta1, init_var, e2_0)
+                                        params.alpha1, params.beta1, sigma2_0, e2_0)
     return mu, sigma2
 
 
-def garch_nll(series, params: GarchParams, init_var: float | None = None) -> float:
+def garch_nll(series, params: GarchParams) -> float:
     """Negative log-likelihood sum_t 0.5*(log 2pi + log sigma2_t + e2_t/sigma2_t)."""
     values = _as_values(series)
-    mu, sigma2 = garch_filter(values, params, init_var)
+    mu, sigma2 = garch_filter(values, params)
     e2 = (values - mu) ** 2
     return float(0.5 * np.sum(LOG_2PI + np.log(sigma2) + e2 / sigma2))
 
@@ -156,17 +152,19 @@ def _nll_grad_unconstrained(theta: np.ndarray, values: np.ndarray,
     return loss, np.array([ga0, ga1, gt0, gtp, gts])
 
 
-def fit_garch(series, n_steps: int = 2000, learning_rate: float = 0.05
-              ) -> tuple[GarchParams, float]:
+def fit_garch(series) -> tuple[GarchParams, float]:
     """Constrained MLE by Adam on the unconstrained scale.
 
     Starts from variance targeting (a0 = sample mean, a1 = 0, alpha1 = 0.05,
     beta1 = 0.90, alpha0 = 0.05 * sample variance) and returns the best
-    iterate seen. Deterministic given the series.
+    iterate seen. Deterministic given the series. Raises GarchFitError on a
+    series holding NaN or inf, or a constant one.
     """
     values = _as_values(series)
     if values.size < 50:
         raise ValueError("fit_garch needs at least 50 observations")
+    if not np.all(np.isfinite(values)):
+        raise GarchFitError("series holds non-finite values; GARCH needs finite returns")
     init_var, e2_0 = presample_variances(values)
     if not e2_0 > 0:
         raise GarchFitError("constant series has no GARCH likelihood")
@@ -175,8 +173,8 @@ def fit_garch(series, n_steps: int = 2000, learning_rate: float = 0.05
 
     best_loss = math.inf
     best_theta = theta.copy()
-    state = AdamState.fresh(5, learning_rate)
-    for i in range(n_steps):
+    state = AdamState.fresh(5, _FIT_LEARNING_RATE)
+    for i in range(_FIT_STEPS):
         loss, grads = _nll_grad_unconstrained(theta, values, init_var, e2_0)
         if np.isfinite(loss) and loss < best_loss:
             best_loss = loss

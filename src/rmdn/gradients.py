@@ -36,6 +36,9 @@ from .mixture import _as_values, log_joint, nll_arrays
 from .network import (RecurrentState, RmdnConfig, RmdnParams, forward_pass,
                       param_layout)
 
+# finite_diff_check's step h
+_FD_STEP = 1e-5
+
 
 def n_trainable(config: RmdnConfig) -> int:
     return int(np.count_nonzero(param_layout(config.n_components, config.k_hidden).free))
@@ -200,26 +203,21 @@ class FiniteDiffReport:
         return float(np.max(self.deviations))
 
     @property
-    def worst_index(self) -> int:
-        return int(np.argmax(self.deviations))
-
-    @property
     def passed(self) -> bool:
         return bool(self.max_deviation <= self.tol)
 
 
 def finite_diff_check(series, params: RmdnParams, config: RmdnConfig,
-                      init: RecurrentState, tol: float = 1e-5,
-                      step: float = 1e-5) -> FiniteDiffReport:
+                      init: RecurrentState, tol: float = 1e-5) -> FiniteDiffReport:
     """Compare the analytic gradient against fourth-order central finite
     differences, (8*(f(+h) - f(-h)) - (f(+2h) - f(-2h))) / 12h, on every
     trainable parameter. Intended for short series (the cost is four
     forward passes per parameter).
 
     The truncation error falls as h^4 and the roundoff grows as 1/h; at
-    h = 1e-5 both stay far below the default tol. A smaller step raises
-    the roundoff, a larger one the error where a bump crosses the kink of
-    the variance unit."""
+    h = ``_FD_STEP`` = 1e-5 both stay far below the default tol. A smaller
+    step raises the roundoff, a larger one the error where a bump crosses
+    the kink of the variance unit."""
     values = _as_values(series)
     _, analytic = gradient(values, params, config, init)
     theta = flatten_params(params, config)
@@ -229,9 +227,10 @@ def finite_diff_check(series, params: RmdnParams, config: RmdnConfig,
         bumped[i] += offset
         return _nll_flat(bumped, values, config, init)
 
+    h = _FD_STEP
     numeric = np.array([
-        (8.0 * (nll_at(i, step) - nll_at(i, -step))
-         - (nll_at(i, 2.0 * step) - nll_at(i, -2.0 * step))) / (12.0 * step)
+        (8.0 * (nll_at(i, h) - nll_at(i, -h))
+         - (nll_at(i, 2.0 * h) - nll_at(i, -2.0 * h))) / (12.0 * h)
         for i in range(theta.size)
     ])
     scale = np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-3

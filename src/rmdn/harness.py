@@ -234,8 +234,8 @@ def load_model(path) -> tuple[RmdnParams, RmdnConfig, RecurrentState]:
     return params, config, state
 
 
-def _fmt_avg(value: float | None, decimals: int = 2) -> str:
-    return "n/a" if value is None else f"{value:.{decimals}f}"
+def _fmt_avg(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.2f}"
 
 
 def render_report(report: BenchmarkReport, format: str = "text") -> str:

@@ -70,10 +70,6 @@ class MixtureStep:
             raise ValueError("eta, mu and sigma2 must have the same length")
 
     @property
-    def n_components(self) -> int:
-        return self.eta.size
-
-    @property
     def valid(self) -> bool:
         """True when every field is finite. NaN/inf steps are kept, flagged invalid."""
         return bool(
@@ -81,17 +77,6 @@ class MixtureStep:
             and np.all(np.isfinite(self.mu))
             and np.all(np.isfinite(self.sigma2))
         )
-
-    def validate(self, atol: float = 1e-12) -> None:
-        """Raise ValueError if the step violates the mixture invariants."""
-        if not self.valid:
-            raise ValueError("mixture step contains non-finite values")
-        if np.any(self.eta <= 0.0):
-            raise ValueError("mixture weights must be strictly positive")
-        if abs(float(np.sum(self.eta)) - 1.0) > atol:
-            raise ValueError("mixture weights must sum to 1")
-        if np.any(self.sigma2 <= 0.0):
-            raise ValueError("component variances must be strictly positive")
 
 
 class MixturePath(Sequence):
@@ -179,24 +164,3 @@ def nll_arrays(values: np.ndarray, eta: np.ndarray, mu: np.ndarray, sigma2: np.n
     _, lse = log_joint(values, eta, mu, sigma2)
     with np.errstate(invalid="ignore", over="ignore"):
         return float(-np.sum(lse))
-
-
-def mixture_moments(step: MixtureStep) -> tuple[float, float]:
-    """Mean and variance of the mixture: sum_i eta_i mu_i and
-    sum_i eta_i (sigma2_i + (mu_i - mean)^2)."""
-    mean = float(np.dot(step.eta, step.mu))
-    var = float(np.dot(step.eta, step.sigma2 + (step.mu - mean) ** 2))
-    return mean, var
-
-
-def sample(step: MixtureStep, rng: np.random.Generator, size: int | None = None):
-    """Draw from the mixture: component index by eta, then a Gaussian draw.
-
-    With ``size=None`` returns a single float; otherwise an array of draws.
-    Deterministic given the generator state.
-    """
-    if size is None:
-        idx = int(rng.choice(step.n_components, p=step.eta))
-        return float(rng.normal(step.mu[idx], math.sqrt(step.sigma2[idx])))
-    idx = rng.choice(step.n_components, size=size, p=step.eta)
-    return rng.normal(step.mu[idx], np.sqrt(step.sigma2[idx]))

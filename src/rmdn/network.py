@@ -184,12 +184,6 @@ class RecurrentState:
         self.sigma2_prev = np.atleast_1d(np.asarray(self.sigma2_prev, dtype=float))
         self.e2_prev = float(self.e2_prev)
 
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.sigma2_prev)) or np.any(self.sigma2_prev <= 0):
-            raise ValueError("sigma2_prev entries must be positive and finite")
-        if not np.isfinite(self.e2_prev) or self.e2_prev < 0:
-            raise ValueError("e2_prev must be non-negative and finite")
-
 
 def positive_elu(x, alpha: float, eps: float):
     """elu(x, alpha) + 1 + eps: x + 1 + eps for x > 0, else alpha*(e^x - 1) + 1 + eps.
@@ -220,15 +214,18 @@ def _softmax_rows(y: np.ndarray) -> np.ndarray:
 
 def presample_variances(values: np.ndarray) -> tuple[float, float]:
     """Presample (sigma2_0, e2_0): the population variance of the series for
-    both, except that a constant series keeps e2_0 = 0 and falls back to
-    sigma2_0 = 1.0. A variance that overflows, or underflows to 0 on a
-    non-constant series, becomes the nearest positive float; NaN propagates.
+    both, except that a constant series (every value equal to the first)
+    keeps e2_0 = 0 and falls back to sigma2_0 = 1.0. A variance that
+    overflows, or underflows to 0, becomes the nearest positive float; NaN
+    propagates to e2_0, with sigma2_0 = 1.0.
     """
+    if np.all(values == values[:1]):  # NaN equals nothing, so it is never constant
+        return 1.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         var = float(np.var(values))
-    if var == 0.0 and np.any(values != values[0]):
-        var = float(np.finfo(float).tiny)
     var = min(var, float(np.finfo(float).max))  # NaN stays NaN
+    if var == 0.0:
+        var = float(np.finfo(float).tiny)
     return (var if var > 0.0 else 1.0), var
 
 

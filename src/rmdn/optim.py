@@ -22,29 +22,31 @@ import numpy as np
 
 from .gradients import apply_mask, flatten_params, gradient, unflatten_params
 from .mixture import nll_arrays, _as_values
-from .network import RecurrentState, RmdnConfig, RmdnParams, forward_pass, initial_state
+from .network import RmdnConfig, RmdnParams, forward_pass, initial_state
 
 CONVERGED = "Converged"
 NOT_CONVERGED = "NotConverged"
 
 LOGLIK_FLOOR = -100_000.0
 
+# Adam's moment decay rates and denominator offset
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """First/second moment vectors, step count and hyperparameters."""
+    """First/second moment vectors, step count and learning rate."""
 
     m: np.ndarray
     v: np.ndarray
     t: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, size: int, learning_rate: float, **kwargs) -> "AdamState":
-        return cls(np.zeros(size), np.zeros(size), 0, learning_rate, **kwargs)
+    def fresh(cls, size: int, learning_rate: float) -> "AdamState":
+        return cls(np.zeros(size), np.zeros(size), 0, learning_rate)
 
 
 def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
@@ -57,11 +59,11 @@ def adam_step(theta: np.ndarray, grads: np.ndarray, state: AdamState) -> tuple[n
     if not np.all(np.isfinite(grads)):
         raise ValueError("refusing to update through non-finite gradients")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_theta = theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * grads
+    v = _BETA2 * state.v + (1.0 - _BETA2) * grads * grads
+    m_hat = m / (1.0 - _BETA1 ** t)
+    v_hat = v / (1.0 - _BETA2 ** t)
+    new_theta = theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
     return new_theta, replace(state, m=m, v=v, t=t)
 
 
@@ -106,9 +108,9 @@ class TrainReport:
 
 
 def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedule,
-          mask: np.ndarray | None = None, init: RecurrentState | None = None,
-          callback=None) -> TrainReport:
-    """Run the two-phase schedule from the given starting parameters.
+          mask: np.ndarray | None = None, callback=None) -> TrainReport:
+    """Run the two-phase schedule from the given starting parameters and the
+    presample state of ``initial_state``.
 
     ``mask`` marks the gradient entries to zero during the pretraining
     phase (typically ``nonlinear_node_mask``). The loss trace records the
@@ -118,8 +120,7 @@ def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedul
     Deterministic given its inputs.
     """
     values = _as_values(series)
-    if init is None:
-        init = initial_state(values, config)
+    init = initial_state(values, config)
     theta = flatten_params(params, config)
     state = AdamState.fresh(theta.size, schedule.learning_rate)
     trace: list[float] = []

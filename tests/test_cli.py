@@ -140,6 +140,12 @@ class TestFit:
         assert result.returncode == 2
         assert "row 2" in result.stderr
 
+    def test_garch_on_identical_values_exit_2(self, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("return\n" + "0.3\n" * 80)
+        assert main(["fit", "--model", "garch", str(flat)]) == 2
+        assert "constant series" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def test_writes_both_reports(self, garch_csv, tmp_path, capsys):

@@ -91,10 +91,10 @@ class TestCsv:
         rng = np.random.default_rng(0)
         s = ReturnSeries(rng.normal(0, 0.017, 50),
                          labels=[f"2020-01-{d:02d}" for d in range(1, 51)]
-                         if False else None, name="rt")
+                         if False else None)
         path = tmp_path / "rt.csv"
         write_csv(s, path)
-        back = load_csv(path, name="rt")
+        back = load_csv(path)
         np.testing.assert_array_equal(back.values, s.values)
 
     def test_round_trip_with_labels(self, tmp_path):

@@ -33,15 +33,16 @@ class TestFilter:
     def test_constant_variance_reduction(self):
         p = GarchParams(0.0, 0.0, 0.3, 0.0, 0.0)
         values = np.random.default_rng(0).normal(0, 1, 20)
-        _, sigma2 = garch_filter(values, p, init_var=5.0)
+        _, sigma2 = garch_filter(values, p)
         np.testing.assert_allclose(sigma2, 0.3, rtol=1e-14)
 
     def test_geometric_recursion_closed_form(self):
         # zeros series: e2 terms vanish (presample e2 = population variance = 0),
-        # leaving sigma2_t = alpha0*(1 - beta1^t)/(1 - beta1) + beta1^t * v
-        alpha0, beta1, v = 0.2, 0.6, 3.0
+        # leaving sigma2_t = alpha0*(1 - beta1^t)/(1 - beta1) + beta1^t * v with
+        # v = 1.0, the presample variance of a constant series
+        alpha0, beta1, v = 0.2, 0.6, 1.0
         p = GarchParams(0.0, 0.0, alpha0, 0.15, beta1)
-        _, sigma2 = garch_filter(np.zeros(12), p, init_var=v)
+        _, sigma2 = garch_filter(np.zeros(12), p)
         t = np.arange(1, 13)
         expected = alpha0 * (1 - beta1 ** t) / (1 - beta1) + beta1 ** t * v
         np.testing.assert_allclose(sigma2, expected, rtol=1e-12)
@@ -159,8 +160,18 @@ class TestFit:
             fit_garch(np.zeros(10) + np.arange(10) * 0.01)
 
     def test_constant_series_rejected(self):
-        with pytest.raises(GarchFitError):
-            fit_garch(np.ones(100))
+        # 0.3, 0.1 and 1/3 have an inexact float mean, so np.var of 80 copies
+        # is not 0; 1e300 overflows it
+        for values in [np.ones(100)] + [np.full(80, v) for v in (0.3, 0.1, 1 / 3,
+                                                                 1e-300, 1e300)]:
+            with pytest.raises(GarchFitError, match="constant series"):
+                fit_garch(values)
+
+    def test_non_finite_series_rejected(self):
+        values = simulate_garch(GarchParams(0.0, 0.0, 0.05, 0.10, 0.85), 100, seed=15).values
+        values[40] = math.nan
+        with pytest.raises(GarchFitError, match="non-finite values"):
+            fit_garch(values)
 
     def test_deterministic(self):
         true = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)

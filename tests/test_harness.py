@@ -119,10 +119,12 @@ class TestRunBenchmark:
             run_benchmark([simulate_garch(gp, 100, seed=1)], 0)
 
     def test_constant_series_gives_not_converged_garch_record(self):
-        flat = ReturnSeries(np.zeros(100), name="flat")
-        report = run_benchmark([flat], 1, RmdnConfig(1, 1), TrainSchedule(1, 1, 0.02))
-        (record,) = report.select("flat", METHOD_GARCH)
-        assert record.status == NOT_CONVERGED and math.isnan(record.loglik)
+        for values in [np.zeros(100)] + [np.full(80, v) for v in (0.3, 0.1, 1 / 3,
+                                                                  1e-300, 1e300)]:
+            flat = ReturnSeries(values, name="flat")
+            report = run_benchmark([flat], 1, RmdnConfig(1, 1), TrainSchedule(1, 1, 0.02))
+            (record,) = report.select("flat", METHOD_GARCH)
+            assert record.status == NOT_CONVERGED and math.isnan(record.loglik), values[0]
 
     def test_unexpected_garch_error_propagates(self, monkeypatch):
         def broken_fit(series):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmdn.mixture import (MixturePath, MixtureStep, log_density, logsumexp,
-                          mixture_moments, nll, nll_arrays, sample)
+from rmdn.mixture import (MixturePath, MixtureStep, log_density, logsumexp, nll,
+                          nll_arrays)
 
 
 def gaussian_pdf(x, mu, var):
@@ -226,61 +226,11 @@ class TestMixturePath:
             MixturePath(np.ones(2), np.ones(2), np.ones(2))
 
 
-class TestMoments:
-    def test_single_component(self):
-        assert mixture_moments(MixtureStep([1.0], [1.3], [0.7])) == pytest.approx((1.3, 0.7))
-
-    def test_symmetric_two_component_by_hand(self):
-        # mean 0; variance 0.5*(1 + 1) + 0.5*(1 + 1) = 2
-        mean, var = mixture_moments(MixtureStep([0.5, 0.5], [-1.0, 1.0], [1.0, 1.0]))
-        assert mean == pytest.approx(0.0, abs=1e-15)
-        assert var == pytest.approx(2.0, rel=1e-14)
-
-    def test_monte_carlo_oracle(self):
-        rng = np.random.default_rng(5)
-        step = random_step(rng, 3)
-        mean, var = mixture_moments(step)
-        n = 10 ** 6
-        draws = sample(step, np.random.default_rng(99), size=n)
-        # exact fourth central moment of the mixture for the variance SE
-        d = step.mu - mean
-        mu4 = float(np.dot(step.eta, 3 * step.sigma2 ** 2 + 6 * step.sigma2 * d ** 2 + d ** 4))
-        se_mean = math.sqrt(var / n)
-        se_var = math.sqrt((mu4 - var ** 2) / n)
-        assert abs(float(np.mean(draws)) - mean) < 3 * se_mean
-        assert abs(float(np.var(draws)) - var) < 3 * se_var
-
-
-class TestSample:
-    def test_deterministic_given_seed(self):
-        step = MixtureStep([0.3, 0.7], [0.0, 2.0], [1.0, 0.5])
-        a = sample(step, np.random.default_rng(11))
-        b = sample(step, np.random.default_rng(11))
-        assert a == b
-
-    def test_zero_weight_component_never_selected(self):
-        # components are far apart, so any regime-2 draw would be visible
-        step = MixtureStep([1.0, 0.0], [0.0, 100.0], [1e-4, 1e-4])
-        draws = sample(step, np.random.default_rng(12), size=10 ** 5)
-        assert np.max(np.abs(draws)) < 50.0
-
-    def test_degenerate_variance_concentrates(self):
-        step = MixtureStep([1.0], [5.0], [1e-12])
-        draws = sample(step, np.random.default_rng(13), size=1000)
-        assert np.max(np.abs(draws - 5.0)) < 1e-4
-
-
 class TestStepInvariants:
     def test_valid_flag(self):
         assert MixtureStep([1.0], [0.0], [1.0]).valid
         assert not MixtureStep([1.0], [math.nan], [1.0]).valid
         assert not MixtureStep([1.0], [0.0], [math.inf]).valid
-
-    def test_validate_raises_on_bad_weights(self):
-        with pytest.raises(ValueError):
-            MixtureStep([0.6, 0.6], [0.0, 0.0], [1.0, 1.0]).validate()
-        with pytest.raises(ValueError):
-            MixtureStep([1.5, -0.5], [0.0, 0.0], [1.0, 1.0]).validate()
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -441,10 +441,13 @@ class TestInitialState:
         assert st_.e2_prev == pytest.approx(var, rel=1e-15)
 
     def test_constant_series_fallback(self):
-        # the variance must stay positive; the squared residual may be 0
-        st_ = initial_state(np.zeros(5), RmdnConfig())
-        assert st_.e2_prev == 0.0
-        assert np.all(st_.sigma2_prev == 1.0)
+        # the variance must stay positive; the squared residual may be 0. 0.3,
+        # 0.1 and 1/3 have an inexact float mean, so np.var of 80 copies is not 0
+        for values in [np.zeros(5)] + [np.full(80, v) for v in (0.3, 0.1, 1 / 3,
+                                                                1e-300, 1e300)]:
+            st_ = initial_state(values, RmdnConfig())
+            assert st_.e2_prev == 0.0, values[0]
+            assert np.all(st_.sigma2_prev == 1.0), values[0]
 
     @pytest.mark.parametrize("scale, expected", [
         (1e300, np.finfo(float).max), (1e-200, np.finfo(float).tiny)])
@@ -468,9 +471,3 @@ class TestInitialState:
         st_ = initial_state(values, RmdnConfig())
         assert math.isnan(st_.e2_prev)
         assert np.all(st_.sigma2_prev == 1.0)
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            RecurrentState([0.0], 1.0).validate()
-        with pytest.raises(ValueError):
-            RecurrentState([1.0], -1.0).validate()
