@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rmdn.garch import (GarchFitError, GarchParams, _nll_grad_unconstrained,
-                        _unconstrain, fit_garch, garch_filter, garch_nll,
-                        simulate_garch)
+from rmdn.data import TwoRegimeSpec, simulate_mixture_process
+from rmdn.garch import (_FIT_LOGIT_BOUNDS, GarchFitError, GarchParams, _constrain,
+                        _nll_grad_unconstrained, _unconstrain, fit_garch,
+                        garch_filter, garch_nll, simulate_garch)
 from rmdn.mixture import LOG_2PI, MixtureStep, nll
 from rmdn.network import RmdnConfig, initial_state, params_from_garch, unroll
 
@@ -103,7 +105,7 @@ class TestFitGradient:
         series = simulate_garch(p, 150, seed=4)
         values = series.values
         var = float(np.var(values))
-        theta = _unconstrain(p)
+        theta = _unconstrain(p, var)
         loss, grads = _nll_grad_unconstrained(theta, values, var, var)
         h = 1e-6
         for i in range(5):
@@ -113,11 +115,17 @@ class TestFitGradient:
                   - _nll_grad_unconstrained(down, values, var, var)[0]) / (2 * h)
             assert grads[i] == pytest.approx(fd, rel=1e-6, abs=1e-7), f"coordinate {i}"
 
+    @pytest.mark.parametrize("tp", _FIT_LOGIT_BOUNDS)
+    @pytest.mark.parametrize("ts", _FIT_LOGIT_BOUNDS)
+    def test_logit_bounds_stay_stationary_after_rounding(self, tp, ts):
+        params = _constrain(np.array([0.0, 0.0, 0.0, tp, ts]), 1.0)
+        assert params.alpha1 + params.beta1 < 1.0
+
     def test_loss_matches_public_nll(self):
         p = GarchParams(0.0, 0.0, 0.05, 0.1, 0.85)
         series = simulate_garch(p, 100, seed=5)
         var = float(np.var(series.values))
-        loss, _ = _nll_grad_unconstrained(_unconstrain(p), series.values, var, var)
+        loss, _ = _nll_grad_unconstrained(_unconstrain(p, var), series.values, var, var)
         assert loss == pytest.approx(garch_nll(series, p), rel=1e-12)
 
 
@@ -179,6 +187,50 @@ class TestFit:
         a = fit_garch(series)
         b = fit_garch(series)
         assert a[1] == b[1] and a[0] == b[0]
+
+
+def _t3_or_normal(kind, t_len, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_t(3, t_len) if kind == "t3" else rng.normal(0.0, 1.0, t_len)
+
+
+class TestFitQuality:
+    # Series on which a fit from a single variance-targeted start ends below
+    # the log-likelihood that 2000 Adam steps (learning rate 0.05, best
+    # iterate kept) reached from (alpha1, beta1) = (0.05, 0.90); the stored
+    # values are those Adam fits.
+    @pytest.mark.parametrize("kind, t_len, seed, adam_loglik", [
+        ("t3", 300, 122, -569.6625897312958),
+        ("normal", 300, 6, -423.89712535683293),
+        ("t3", 300, 33, -564.5740070362776),
+        ("t3", 1000, 34, -1907.7765496704433),
+    ])
+    def test_never_below_adam(self, kind, t_len, seed, adam_loglik):
+        _, loglik = fit_garch(_t3_or_normal(kind, t_len, seed))
+        assert loglik >= adam_loglik - 1e-6
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e155, 1e300])
+    def test_extreme_scale_raises_only_garch_fit_error(self, scale):
+        values = simulate_garch(GarchParams(0.0, 0.0, 0.05, 0.10, 0.85), 300, seed=3).values
+        with np.errstate(all="ignore"), pytest.raises(
+                GarchFitError, match="non-finite objective at the variance-targeted"):
+            fit_garch(scale * values)
+
+    SCALE_PATHS = {
+        "garch": simulate_garch(GarchParams(0.0, 0.0, 0.05, 0.10, 0.85), 1000, seed=3).values,
+        "two-regime": simulate_mixture_process(
+            TwoRegimeSpec(0.0, 0.25, 0.0, 4.0, 0.5, 0.05), 1000, seed=42).values,
+    }
+
+    @given(st.sampled_from(sorted(SCALE_PATHS)), st.floats(-4.0, 4.0))
+    @example("garch", math.log10(1.36076325397525e-4))  # stopped 0.36 nats short with a0 in data units
+    @settings(deadline=None, max_examples=20)
+    def test_loglik_shifts_by_t_log_scale(self, path, log10_scale):
+        values = self.SCALE_PATHS[path]
+        scale = 10.0 ** log10_scale
+        _, base = fit_garch(values)
+        _, scaled = fit_garch(scale * values)
+        assert scaled + values.size * math.log(scale) == pytest.approx(base, abs=1e-3)
 
 
 class TestSimulate:

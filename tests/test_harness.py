@@ -126,6 +126,16 @@ class TestRunBenchmark:
             (record,) = report.select("flat", METHOD_GARCH)
             assert record.status == NOT_CONVERGED and math.isnan(record.loglik), values[0]
 
+    def test_extreme_scale_gives_not_converged_garch_record(self):
+        gp = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)
+        values = simulate_garch(gp, 300, seed=3).values
+        for scale in (1e-300, 1e-160, 1e155, 1e300):
+            scaled = ReturnSeries(scale * values, name="scaled")
+            with np.errstate(all="ignore"):
+                report = run_benchmark([scaled], 1, RmdnConfig(1, 1), TrainSchedule(1, 1, 0.02))
+            (record,) = report.select("scaled", METHOD_GARCH)
+            assert record.status == NOT_CONVERGED and math.isnan(record.loglik), scale
+
     def test_unexpected_garch_error_propagates(self, monkeypatch):
         def broken_fit(series):
             raise TypeError("a bug, not an unfittable series")
