@@ -10,7 +10,10 @@ independent loops over Python floats; everything else (mixing and mean
 networks, the squared-residual path, the loss itself) is vectorized over
 time. The mixing network, the mean network and the squared-residual side
 of the variance network are each a hidden layer over one scalar input per
-step, and ``_hidden_backward`` is the one backward step through them.
+step, and ``_hidden_backward`` is the one backward step through them. Like
+``forward_pass``, every adjoint is component-major, (N, T) or (K, T), so the
+reductions over components and hidden nodes are elementwise over rows of
+length T, and each component's recursion reads one row.
 
 Two stability details:
   * the loss gradient is taken with respect to the mixing logits directly,
@@ -104,15 +107,15 @@ def _hidden_backward(g: np.ndarray, h: np.ndarray, x: np.ndarray, out_w: np.ndar
                      ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Backward twin of ``network._hidden_batch`` under a linear output layer.
 
-    ``g`` (T, N) is the loss adjoint of the outputs ``h @ out_w.T + out_b``,
-    ``h`` (T, K) the hidden activations computed from the scalar inputs
+    ``g`` (N, T) is the loss adjoint of the outputs ``out_w @ h + out_b``,
+    ``h`` (K, T) the hidden activations computed from the scalar inputs
     ``x`` (T,). Returns the gradients of (in_w, in_b, out_w, out_b), in
-    ``RmdnParams`` field order, and the hidden adjoint (T, K) at the
+    ``RmdnParams`` field order, and the hidden adjoint (K, T) at the
     pre-activations.
     """
-    gh = g @ out_w
-    gh[:, 1:] *= 1.0 - h[:, 1:] ** 2
-    return (gh.T @ x, gh.sum(axis=0), g.T @ h, g.sum(axis=0)), gh
+    gh = out_w.T @ g
+    gh[1:] *= 1.0 - h[1:] ** 2
+    return (gh @ x, gh.sum(axis=1), g @ h.T, g.sum(axis=1)), gh
 
 
 def gradient(series, params: RmdnParams, config: RmdnConfig,
@@ -121,7 +124,9 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
 
     Returns the negative log-likelihood and the gradient over the flat
     trainable vector. A non-finite loss yields all-NaN gradients; callers
-    must not update through them.
+    must not update through them. A finite loss can still come with a
+    non-finite gradient, once the parameters have diverged far enough
+    (inf * 0 in the adjoint); that is returned without a warning.
     """
     values = _as_values(series)
     cache = forward_pass(values, params, config, init)
@@ -134,46 +139,47 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     if not np.isfinite(loss):
         return loss, np.full(n_trainable(config), np.nan)
 
-    p_post = np.exp(q - lse[:, None])            # posterior responsibilities (T, N)
-    d = values[:, None] - cache.mu
+    p_post = np.exp(q - lse)                 # posterior responsibilities (N, T)
+    d = values - cache.mu
     inv_s2 = 1.0 / cache.sigma2
-    dl_dmu = -p_post * d * inv_s2                # (T, N)
+    dl_dmu = -p_post * d * inv_s2            # (N, T)
     dl_ds2 = 0.5 * p_post * inv_s2 * (1.0 - d * d * inv_s2)
 
-    ws = params.var_out_w[:, k:]
-    wiw_s = params.var_in_w[k:]
-    dtanh_s = 1.0 - cache.hs[:, :, 1:] ** 2        # (T, N, K-1)
+    ws = params.var_out_w[:, k:]             # (N, K)
+    dtanh_s = 1.0 - cache.hs[1:] ** 2        # (K-1, N, T)
 
-    # carry[t, i] = d z_{t,i} / d s2_prev_{t,i}, the only recurrent path
-    ws_iw = ws * wiw_s
-    carry = ws_iw[:, 0] + np.einsum("tnk,nk->tn", dtanh_s, ws_iw[:, 1:])
-    gz_all = np.empty((t_len, n))                # d loss / d z, per component
+    # carry[i, t] = d z_{i,t} / d s2_prev_{i,t}, the only recurrent path
+    ws_iw = (ws * params.var_in_w[k:]).T     # (K, N)
+    carry = ws_iw[0, :, None] + np.sum(dtanh_s * ws_iw[1:, :, None], axis=0)
+    gz_all = np.empty((n, t_len))            # d loss / d z, per component
     for i in range(n):
-        gz_all[::-1, i] = _adjoint_recursion(
-            dl_ds2[::-1, i].tolist(), cache.dpelu[::-1, i].tolist(),
-            carry[::-1, i].tolist())
+        gz_all[i, ::-1] = _adjoint_recursion(
+            dl_ds2[i, ::-1].tolist(), cache.dpelu[i, ::-1].tolist(),
+            carry[i, ::-1].tolist())
 
     # the squared-residual path does not recur: e2_prev[t+1] only feeds z[t+1]
     (ge_in_w, ge_in_b, ge_out_w, g_var_out_b), ghe = _hidden_backward(
         gz_all, cache.he, cache.e2_prev, params.var_out_w[:, :k])
     gmu_bar = np.zeros(t_len)
-    gmu_bar[:-1] = -2.0 * cache.resid[:-1] * (ghe[1:] @ params.var_in_w[:k])
+    gmu_bar[:-1] = -2.0 * cache.resid[:-1] * (params.var_in_w[:k] @ ghe[:, 1:])
 
     # the hidden nodes reading each component's own previous variance
-    ghs = gz_all[:, :, None] * ws                # (T, N, K)
-    ghs[:, :, 1:] *= dtanh_s
-    g_var = (np.concatenate([ge_in_w, np.einsum("tnk,tn->k", ghs, cache.s2_prev)]),
-             np.concatenate([ge_in_b, ghs.sum(axis=(0, 1))]),
-             np.hstack([ge_out_w, np.einsum("tn,tnk->nk", gz_all, cache.hs)]),
-             g_var_out_b)
+    ghs = ws.T[:, :, None] * gz_all          # (K, N, T)
+    ghs[1:] *= dtanh_s
+    # a variance that overflowed meets a zero or huge adjoint here: the NaN or
+    # inf it gives is the divergence signal, so it must not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        g_var = (np.concatenate([ge_in_w, ghs.reshape(k, -1) @ cache.s2_prev.ravel()]),
+                 np.concatenate([ge_in_b, ghs.sum(axis=(1, 2))]),
+                 np.hstack([ge_out_w, np.sum(cache.hs * gz_all, axis=2).T]),
+                 g_var_out_b)
 
     # loss -> logits directly (eta - p), plus the residual path through mubar
-    geta_path = gmu_bar[:, None] * cache.mu
+    geta_path = gmu_bar * cache.mu
     glogit = (cache.eta - p_post) + cache.eta * (
-        geta_path - np.sum(cache.eta * geta_path, axis=1, keepdims=True)
-    )
+        geta_path - np.sum(cache.eta * geta_path, axis=0))
     g_mix, _ = _hidden_backward(glogit, cache.hm, cache.inputs, params.mix_out_w)
-    gmu_tot = dl_dmu + gmu_bar[:, None] * cache.eta
+    gmu_tot = dl_dmu + gmu_bar * cache.eta
     g_mean, _ = _hidden_backward(gmu_tot, cache.hmu, cache.inputs, params.mean_out_w)
 
     return loss, flatten_params(RmdnParams(*g_mix, *g_mean, *g_var), config)

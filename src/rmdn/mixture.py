@@ -13,10 +13,11 @@ per-observation log density is evaluated as
                              - 0.5*log(sigma2_i) - 0.5*(r - mu_i)^2 / sigma2_i ]
 
 so that far-tail observations underflow gracefully instead of rounding the
-density to zero; ``log_joint`` evaluates it for every likelihood and
-``log_density`` restates it for one step, as the tests' oracle. NaN values
-are propagated, never trapped: a diverged model produces a NaN likelihood,
-which downstream convergence classification treats as data.
+density to zero; ``log_joint`` evaluates it for every likelihood, over
+component-major (N, T) arrays, and ``log_density`` restates it for one step,
+as the tests' oracle. NaN values are propagated, never trapped: a diverged
+model produces a NaN likelihood, which downstream convergence classification
+treats as data.
 """
 
 from __future__ import annotations
@@ -133,16 +134,16 @@ def nll(series, steps) -> float:
     path = MixturePath.of(steps)
     if np.any(path.sigma2 <= 0.0):
         raise ValueError("non-positive component variance")
-    return nll_arrays(values, path.eta, path.mu, path.sigma2)
+    return nll_arrays(values, path.eta.T, path.mu.T, path.sigma2.T)
 
 
 def log_joint(values: np.ndarray, eta: np.ndarray, mu: np.ndarray,
               sigma2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-space terms of the likelihood over (T, N) mixture parameter arrays.
+    """Log-space terms of the likelihood over (N, T) mixture parameter arrays.
 
-    Returns q with q[t, i] = log(eta_i * phi(r_t; mu_i, sigma2_i)) and lse
-    with lse[t] = logsumexp_i q[t, i] = log p(r_t), max-shifted per row. A
-    row whose maximum is not finite keeps that maximum (-inf when every
+    Returns q with q[i, t] = log(eta_i * phi(r_t; mu_i, sigma2_i)) and lse
+    with lse[t] = logsumexp_i q[i, t] = log p(r_t), max-shifted per step. A
+    step whose maximum is not finite keeps that maximum (-inf when every
     component underflows, NaN when one is NaN).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -150,17 +151,17 @@ def log_joint(values: np.ndarray, eta: np.ndarray, mu: np.ndarray,
             np.log(eta)
             - 0.5 * LOG_2PI
             - 0.5 * np.log(sigma2)
-            - 0.5 * (values[:, None] - mu) ** 2 / sigma2
+            - 0.5 * (values - mu) ** 2 / sigma2
         )
-        m = np.max(q, axis=1)
+        m = np.max(q, axis=0)
         shift = np.where(np.isfinite(m), m, 0.0)
-        lse = shift + np.log(np.sum(np.exp(q - shift[:, None]), axis=1))
+        lse = shift + np.log(np.sum(np.exp(q - shift), axis=0))
         lse = np.where(np.isfinite(m), lse, m)
     return q, lse
 
 
 def nll_arrays(values: np.ndarray, eta: np.ndarray, mu: np.ndarray, sigma2: np.ndarray) -> float:
-    """Vectorized negative log-likelihood over (T,N) mixture parameter arrays."""
+    """Vectorized negative log-likelihood over (N, T) mixture parameter arrays."""
     _, lse = log_joint(values, eta, mu, sigma2)
     with np.errstate(invalid="ignore", over="ignore"):
         return float(-np.sum(lse))

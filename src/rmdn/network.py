@@ -22,6 +22,9 @@ Only the N component variances truly recur. The mixing and mean networks
 read lagged returns alone, so mubar_t, and with it e2_t, is known for every
 step before the variance network runs; ``forward_pass`` evaluates all of
 that at once and loops only over N independent scalar variance recursions.
+Its per-component arrays are component-major, (N, T), and its hidden
+activations (K, T), so every sum, maximum or softmax over components is an
+elementwise operation over contiguous rows of length T.
 
 With a single component and all tanh weights at zero the model collapses to
 an AR(1) conditional mean and, whenever the variance pre-activation is
@@ -197,19 +200,20 @@ def positive_elu(x, alpha: float, eps: float):
 
 
 def _hidden_batch(x: np.ndarray, in_w: np.ndarray, in_b: np.ndarray) -> np.ndarray:
-    """Hidden activations for an array of scalar inputs: (...,) -> (..., K).
+    """Hidden activations for an array of scalar inputs: (...) -> (K, ...).
 
     Node 0 is linear, the rest are tanh.
     """
-    h = x[..., None] * in_w + in_b
-    h[..., 1:] = np.tanh(h[..., 1:])
+    shape = (-1,) + (1,) * x.ndim
+    h = in_w.reshape(shape) * x + in_b.reshape(shape)
+    h[1:] = np.tanh(h[1:])
     return h
 
 
-def _softmax_rows(y: np.ndarray) -> np.ndarray:
-    m = np.max(y, axis=-1, keepdims=True)
-    e = np.exp(y - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+def _softmax(y: np.ndarray) -> np.ndarray:
+    """Softmax over the leading (component) axis."""
+    e = np.exp(y - np.max(y, axis=0))
+    return e / np.sum(e, axis=0)
 
 
 def presample_variances(values: np.ndarray) -> tuple[float, float]:
@@ -230,11 +234,12 @@ def presample_variances(values: np.ndarray) -> tuple[float, float]:
 
 
 def lagged(first, x: np.ndarray) -> np.ndarray:
-    """``x`` one step later along its first axis, ``first`` in front: row t is
-    what step t reads from step t-1, and row 0 is the presample value."""
+    """``x`` one step later along its last (time) axis, ``first`` in front:
+    entry t is what step t reads from step t-1, and entry 0 is the presample
+    value."""
     out = np.empty_like(x)
-    out[0] = first
-    out[1:] = x[:-1]
+    out[..., 0] = first
+    out[..., 1:] = x[..., :-1]
     return out
 
 
@@ -245,19 +250,22 @@ def initial_state(series, config: RmdnConfig) -> RecurrentState:
 
 
 class ForwardCache(NamedTuple):
-    """Everything the backward pass needs from one unrolled forward pass."""
+    """Everything the backward pass needs from one unrolled forward pass.
+
+    Time is the last axis of every array: column t belongs to step t.
+    """
 
     inputs: np.ndarray    # (T,)  lag-1 inputs, inputs[0] = 0
-    hm: np.ndarray        # (T, K)  mixing hidden activations
-    eta: np.ndarray       # (T, N)
-    hmu: np.ndarray       # (T, K)  mean hidden activations
-    mu: np.ndarray        # (T, N)
-    he: np.ndarray        # (T, K)  variance hidden nodes reading e2_prev
-    hs: np.ndarray        # (T, N, K)  variance hidden nodes reading s2_prev
-    dpelu: np.ndarray     # (T, N)  output-unit derivative at the pre-activation
-    sigma2: np.ndarray    # (T, N)
+    hm: np.ndarray        # (K, T)  mixing hidden activations
+    eta: np.ndarray       # (N, T)
+    hmu: np.ndarray       # (K, T)  mean hidden activations
+    mu: np.ndarray        # (N, T)
+    he: np.ndarray        # (K, T)  variance hidden nodes reading e2_prev
+    hs: np.ndarray        # (K, N, T)  variance hidden nodes reading s2_prev
+    dpelu: np.ndarray     # (N, T)  output-unit derivative at the pre-activation
+    sigma2: np.ndarray    # (N, T)
     e2_prev: np.ndarray   # (T,)  squared residual fed at each step
-    s2_prev: np.ndarray   # (T, N)  variances fed at each step
+    s2_prev: np.ndarray   # (N, T)  variances fed at each step
     resid: np.ndarray     # (T,)  r_t - mu_bar_t
     final_state: RecurrentState
 
@@ -296,7 +304,7 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
     e2 side are evaluated for all steps at once. What is left is N
     independent scalar recursions, one per component, run over Python
     floats. Non-finite values are allowed to propagate (divergence is
-    observable data).
+    observable data). See ``ForwardCache`` for the shapes.
     """
     t_len = values.size
     n, k = config.n_components, config.k_hidden
@@ -306,29 +314,29 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hm = _hidden_batch(inputs, params.mix_in_w, params.mix_in_b)
-        eta = _softmax_rows(hm @ params.mix_out_w.T + params.mix_out_b)
+        eta = _softmax(params.mix_out_w @ hm + params.mix_out_b[:, None])
         hmu = _hidden_batch(inputs, params.mean_in_w, params.mean_in_b)
-        mu = hmu @ params.mean_out_w.T + params.mean_out_b
+        mu = params.mean_out_w @ hmu + params.mean_out_b[:, None]
 
-        resid = values - np.sum(eta * mu, axis=1)
+        resid = values - np.sum(eta * mu, axis=0)
         e2 = resid * resid
         e2_prev = lagged(init.e2_prev, e2)
         he = _hidden_batch(e2_prev, params.var_in_w[:k], params.var_in_b[:k])
-        drive = he @ params.var_out_w[:, :k].T + params.var_out_b
+        drive = params.var_out_w[:, :k] @ he + params.var_out_b[:, None]
 
-        z = np.empty((t_len, n))
-        sigma2 = np.empty((t_len, n))
+        z = np.empty((n, t_len))
+        sigma2 = np.empty((n, t_len))
         in_w, in_b = params.var_in_w[k:].tolist(), params.var_in_b[k:].tolist()
         for i in range(n):
-            z[:, i], sigma2[:, i] = _variance_recursion(
-                drive[:, i].tolist(), float(init.sigma2_prev[i]),
+            z[i], sigma2[i] = _variance_recursion(
+                drive[i].tolist(), float(init.sigma2_prev[i]),
                 params.var_out_w[i, k:].tolist(), in_w, in_b, alpha, one_eps)
 
         s2_prev = lagged(init.sigma2_prev, sigma2)
         hs = _hidden_batch(s2_prev, params.var_in_w[k:], params.var_in_b[k:])
         dpelu = np.where(z > 0.0, 1.0, alpha * np.expm1(np.minimum(z, 0.0)) + alpha)
 
-    final = RecurrentState(sigma2[-1].copy(), e2[-1])
+    final = RecurrentState(sigma2[:, -1].copy(), e2[-1])
     return ForwardCache(inputs, hm, eta, hmu, mu, he, hs, dpelu, sigma2,
                         e2_prev, s2_prev, resid, final)
 
@@ -337,13 +345,13 @@ def unroll(series, params: RmdnParams, config: RmdnConfig,
            init: RecurrentState) -> tuple[MixturePath, RecurrentState]:
     """Run the model over a series; step t is the conditional mixture for r_t.
 
-    Returns the MixturePath over ``forward_pass``'s (T, N) arrays plus the
-    final recurrent state. Steps that picked up NaN/inf are flagged via
-    ``MixtureStep.valid`` rather than raising, so the likelihood can
-    propagate the divergence.
+    Returns the MixturePath over (T, N) views of ``forward_pass``'s (N, T)
+    arrays plus the final recurrent state. Steps that picked up NaN/inf are
+    flagged via ``MixtureStep.valid`` rather than raising, so the likelihood
+    can propagate the divergence.
     """
     cache = forward_pass(_as_values(series), params, config, init)
-    return MixturePath(cache.eta, cache.mu, cache.sigma2), cache.final_state
+    return MixturePath(cache.eta.T, cache.mu.T, cache.sigma2.T), cache.final_state
 
 
 def _zeros_params(config: RmdnConfig) -> RmdnParams:

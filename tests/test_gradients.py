@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rmdn.garch import GarchParams, simulate_garch
 from rmdn.gradients import (apply_mask, finite_diff_check, flatten_params,
@@ -12,6 +12,9 @@ from rmdn.gradients import (apply_mask, finite_diff_check, flatten_params,
 from rmdn.network import (SCHEMES, RecurrentState, RmdnConfig, RmdnParams,
                           forward_pass, init_params, initial_state,
                           param_layout, unroll)
+from rmdn.optim import TrainSchedule, train
+
+import time_major_reference
 
 PROBE = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)
 
@@ -240,14 +243,15 @@ class TestGradient:
 
 
 @st.composite
-def gradient_cases(draw):
-    """N, K in 1..4, either init scheme, T <= 40, and output biases spread
-    over both sides of the pelu kink."""
+def gradient_cases(draw, max_len=40, bias=(-3.0, 3.0)):
+    """N, K in 1..4, either init scheme, T <= max_len, and variance output
+    biases drawn from ``bias``, which spreads pre-activations over both
+    sides of the pelu kink."""
     n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     cfg = RmdnConfig(n_components=n, k_hidden=k)
     p = init_params(cfg, draw(st.integers(0, 50000)), draw(st.sampled_from(SCHEMES)))
-    p.var_out_b[:] = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
-    series = simulate_garch(PROBE, draw(st.integers(2, 40)), seed=draw(st.integers(0, 10000)))
+    p.var_out_b[:] = draw(st.lists(st.floats(*bias), min_size=n, max_size=n))
+    series = simulate_garch(PROBE, draw(st.integers(2, max_len)), seed=draw(st.integers(0, 10000)))
     return series.values, p, cfg
 
 
@@ -285,9 +289,47 @@ class TestGradientProperties:
             cache = forward_pass(values, p, cfg, init)
             loss, grads = gradient(values, p, cfg, init)
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        assert cache.sigma2.shape == (30, n) and grads.shape == (n_trainable(cfg),)
+        assert cache.sigma2.shape == (n, 30) and grads.shape == (n_trainable(cfg),)
         if nan_at is not None:
             assert math.isnan(loss) and np.all(np.isnan(grads))
+
+
+class TestAgainstTimeMajorOracle:
+    """The component-major forward pass and adjoint against the time-major
+    (T, N) implementation they replaced. Only the order of some sums
+    differs, so the two agree to rounding: the loss within 1e-13 relative,
+    each gradient entry within 1e-11 of the largest."""
+
+    # biases in [-6, 0] put steps in both branches in over half of the cases
+    @given(gradient_cases(max_len=60, bias=(-6.0, 0.0)))
+    @settings(deadline=None, max_examples=60)
+    def test_loss_and_gradient_match(self, case):
+        values, p, cfg = case
+        init = initial_state(values, cfg)
+        positive = forward_pass(values, p, cfg, init).dpelu == 1.0
+        assume(positive.any() and not positive.all())
+        loss_ref, g_ref = time_major_reference.gradient(values, p, cfg, init)
+        loss, g = gradient(values, p, cfg, init)
+        assert abs(loss - loss_ref) <= 1e-13 * abs(loss_ref)
+        assert np.all(np.abs(g - g_ref) <= 1e-11 * np.max(np.abs(g_ref)))
+
+
+def test_finite_loss_with_non_finite_gradient_is_returned_silently():
+    """At lr 1.0 a plain run on this heavy-tailed series reaches parameters
+    where one variance overflows to inf: the loss stays finite through the
+    other component, the gradient does not, and ``train`` refuses the
+    update. ``gradient`` itself must return that pair without a warning."""
+    values = np.random.default_rng(0).standard_t(3, 400) * 3
+    cfg = RmdnConfig(2, 3)
+    thetas = []
+    with pytest.raises(ValueError, match="non-finite gradients"):
+        train(values, init_params(cfg, 1, "plain"), cfg, TrainSchedule(0, 60, 1.0),
+              callback=lambda epoch, theta, loss: thetas.append(theta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loss, grads = gradient(values, unflatten_params(thetas[-1], cfg), cfg,
+                               initial_state(values, cfg))
+    assert np.isfinite(loss) and not np.all(np.isfinite(grads))
 
 
 class TestFiniteDiffCheck:

@@ -127,9 +127,12 @@ class TestNll:
         rng = np.random.default_rng(4)
         values = rng.normal(0, 1, 8)
         steps = [random_step(rng, 2) for _ in range(8)]
-        eta = np.array([s.eta for s in steps])
-        mu = np.array([s.mu for s in steps])
-        s2 = np.array([s.sigma2 for s in steps])
+        # nll_arrays reads component-major (N, T) arrays
+        eta = np.array([s.eta for s in steps]).T
+        mu = np.array([s.mu for s in steps]).T
+        s2 = np.array([s.sigma2 for s in steps]).T
+        by_step = -sum(log_density(r, s) for r, s in zip(values, steps))
+        assert nll_arrays(values, eta, mu, s2) == pytest.approx(by_step, rel=1e-13)
         assert nll_arrays(values, eta, mu, s2) == pytest.approx(nll(values, steps), rel=1e-13)
 
 

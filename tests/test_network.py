@@ -15,17 +15,17 @@ PROBE = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)
 
 
 def weights_and_means_after(r, p, config):
-    """Mixture weights and means predicted after input return r: row 1 of a
+    """Mixture weights and means predicted after input return r: step 1 of a
     forward pass over [r, 0]."""
     cache = forward_pass(np.array([r, 0.0]), p, config,
                          RecurrentState(np.ones(config.n_components), 1.0))
-    return cache.eta[1], cache.mu[1]
+    return cache.eta[:, 1], cache.mu[:, 1]
 
 
 def variances_after(state, p, config):
-    """Component variances predicted from a recurrent state: row 0 of a
+    """Component variances predicted from a recurrent state: step 0 of a
     one-step forward pass started there."""
-    return forward_pass(np.array([0.0]), p, config, state).sigma2[0]
+    return forward_pass(np.array([0.0]), p, config, state).sigma2[:, 0]
 
 
 def reference_forward(r_t, e2_prev, s2_prev, p, config):
@@ -355,6 +355,7 @@ class TestUnroll:
             assert np.array_equal(sa.sigma2, sb.sigma2)
 
     def test_path_holds_forward_pass_rows(self):
+        """The (T, N) path is a transposed view of the (N, T) cache."""
         series = simulate_garch(PROBE, 25, seed=4)
         cfg = RmdnConfig(n_components=3, k_hidden=2)
         p = init_params(cfg, 15, "plain")
@@ -363,12 +364,12 @@ class TestUnroll:
         cache = forward_pass(series.values, p, cfg, init)
         assert isinstance(steps, MixturePath) and len(steps) == 25
         for t in (0, 11, 24, -1, -25):
-            assert np.array_equal(steps[t].eta, cache.eta[t])
-            assert np.array_equal(steps[t].mu, cache.mu[t])
-            assert np.array_equal(steps[t].sigma2, cache.sigma2[t])
+            assert np.array_equal(steps[t].eta, cache.eta[:, t])
+            assert np.array_equal(steps[t].mu, cache.mu[:, t])
+            assert np.array_equal(steps[t].sigma2, cache.sigma2[:, t])
         rows = list(steps)
         assert len(rows) == 25
-        assert all(np.array_equal(s.sigma2, row) for s, row in zip(rows, cache.sigma2))
+        assert all(np.array_equal(s.sigma2, row) for s, row in zip(rows, cache.sigma2.T))
         np.testing.assert_array_equal(final.sigma2_prev, cache.final_state.sigma2_prev)
 
     def test_divergence_flagged_not_raised(self):
@@ -420,14 +421,14 @@ class TestForwardPassProperties:
         r_prev, e2, s2 = 0.0, init.e2_prev, np.array(init.sigma2_prev)
         for t, r in enumerate(values):
             eta_ref, mu_ref, s2_ref = reference_forward(r_prev, e2, s2, p, cfg)
-            np.testing.assert_allclose(cache.sigma2[t], s2_ref, rtol=1e-12)
+            np.testing.assert_allclose(cache.sigma2[:, t], s2_ref, rtol=1e-12)
             # means can cross zero, where only an absolute bound is meaningful
-            np.testing.assert_allclose(cache.eta[t], eta_ref, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(cache.mu[t], mu_ref, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(cache.eta[:, t], eta_ref, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(cache.mu[:, t], mu_ref, rtol=1e-12, atol=1e-14)
             e2 = (r - float(eta_ref @ mu_ref)) ** 2
-            s2 = cache.sigma2[t]
+            s2 = cache.sigma2[:, t]
             r_prev = r
-        np.testing.assert_array_equal(cache.final_state.sigma2_prev, cache.sigma2[-1])
+        np.testing.assert_array_equal(cache.final_state.sigma2_prev, cache.sigma2[:, -1])
         assert cache.final_state.e2_prev == pytest.approx(e2, rel=1e-12, abs=1e-14)
 
 
