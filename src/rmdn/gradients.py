@@ -5,15 +5,15 @@ feeds the next step's variance network. The squared residual
 e2_t = (r_t - mubar_t)^2 feeds it too, but e2_t depends only on the mixing
 and mean networks, which do not recur, so its adjoint at step t is a
 function of step t+1 alone. The backward pass therefore carries one scalar
-per component, d loss / d z_{t,i} for the variance pre-activation z, in N
-independent loops over Python floats; everything else (mixing and mean
-networks, the squared-residual path, the loss itself) is vectorized over
-time. The mixing network, the mean network and the squared-residual side
-of the variance network are each a hidden layer over one scalar input per
-step, and ``_hidden_backward`` is the one backward step through them. Like
-``forward_pass``, every adjoint is component-major, (N, T) or (K, T), so the
-reductions over components and hidden nodes are elementwise over rows of
-length T, and each component's recursion reads one row.
+per component, d loss / d z_{t,i} for the variance pre-activation z. Its
+recursion is linear, so a doubling scan solves it in ceil(log2 T) passes
+over (N, T) arrays, and everything else (mixing and mean networks, the
+squared-residual path, the loss itself) is vectorized over time too. The
+mixing network, the mean network and the squared-residual side of the
+variance network are each a hidden layer over one scalar input per step,
+and ``_hidden_backward`` is the one backward step through them. Like
+``forward_pass``, every adjoint is component-major, (N, T) or (K, T), so
+reductions over components and hidden nodes are elementwise over rows.
 
 Two stability details:
   * the loss gradient is taken with respect to the mixing logits directly,
@@ -89,20 +89,6 @@ def apply_mask(grads: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adjoint_recursion(dl_ds2: list[float], dpelu: list[float],
-                       carry: list[float]) -> list[float]:
-    """One component's adjoint recursion over Python floats,
-    gz_t = (dl_ds2_t + carry_{t+1} * gz_{t+1}) * dpelu_t with gz_T = 0.
-    Takes and returns every sequence in reverse time order."""
-    out = []
-    gz, carry_next = 0.0, 0.0
-    for dl, dp, c in zip(dl_ds2, dpelu, carry):
-        gz = (dl + carry_next * gz) * dp
-        out.append(gz)
-        carry_next = c
-    return out
-
-
 def _hidden_backward(g: np.ndarray, h: np.ndarray, x: np.ndarray, out_w: np.ndarray
                      ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Backward twin of ``network._hidden_batch`` under a linear output layer.
@@ -131,7 +117,7 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     values = _as_values(series)
     cache = forward_pass(values, params, config, init)
     t_len = values.size
-    n, k = config.n_components, config.k_hidden
+    k = config.k_hidden
 
     q, lse = log_joint(values, cache.eta, cache.mu, cache.sigma2)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -151,27 +137,33 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     # carry[i, t] = d z_{i,t} / d s2_prev_{i,t}, the only recurrent path
     ws_iw = (ws * params.var_in_w[k:]).T     # (K, N)
     carry = ws_iw[0, :, None] + np.sum(dtanh_s * ws_iw[1:, :, None], axis=0)
-    gz_all = np.empty((n, t_len))            # d loss / d z, per component
-    for i in range(n):
-        gz_all[i, ::-1] = _adjoint_recursion(
-            dl_ds2[i, ::-1].tolist(), cache.dpelu[i, ::-1].tolist(),
-            carry[i, ::-1].tolist())
+    # gz_t = dpelu_t * (dl_ds2_t + carry_{t+1} * gz_{t+1}) = b_t + a_t * gz_{t+1}
+    # is linear in gz: a doubling scan solves it in ceil(log2 T) passes. A variance
+    # that overflowed meets a zero or huge adjoint here and in g_var: the NaN or
+    # inf it gives is the divergence signal, so it must not warn
+    gz = cache.dpelu * dl_ds2                # d loss / d z, per component
+    a = np.zeros_like(gz)
+    a[:, :-1] = cache.dpelu[:, :-1] * carry[:, 1:]
+    s = 1
+    with np.errstate(invalid="ignore", over="ignore"):
+        while s < t_len:
+            gz[:, :-s] += a[:, :-s] * gz[:, s:]
+            a[:, :-s] *= a[:, s:]
+            s *= 2
 
     # the squared-residual path does not recur: e2_prev[t+1] only feeds z[t+1]
     (ge_in_w, ge_in_b, ge_out_w, g_var_out_b), ghe = _hidden_backward(
-        gz_all, cache.he, cache.e2_prev, params.var_out_w[:, :k])
+        gz, cache.he, cache.e2_prev, params.var_out_w[:, :k])
     gmu_bar = np.zeros(t_len)
     gmu_bar[:-1] = -2.0 * cache.resid[:-1] * (params.var_in_w[:k] @ ghe[:, 1:])
 
     # the hidden nodes reading each component's own previous variance
-    ghs = ws.T[:, :, None] * gz_all          # (K, N, T)
+    ghs = ws.T[:, :, None] * gz              # (K, N, T)
     ghs[1:] *= dtanh_s
-    # a variance that overflowed meets a zero or huge adjoint here: the NaN or
-    # inf it gives is the divergence signal, so it must not warn
     with np.errstate(invalid="ignore", over="ignore"):
         g_var = (np.concatenate([ge_in_w, ghs.reshape(k, -1) @ cache.s2_prev.ravel()]),
                  np.concatenate([ge_in_b, ghs.sum(axis=(1, 2))]),
-                 np.hstack([ge_out_w, np.sum(cache.hs * gz_all, axis=2).T]),
+                 np.hstack([ge_out_w, np.sum(cache.hs * gz, axis=2).T]),
                  g_var_out_b)
 
     # loss -> logits directly (eta - p), plus the residual path through mubar

@@ -22,7 +22,9 @@ Only the N component variances truly recur. The mixing and mean networks
 read lagged returns alone, so mubar_t, and with it e2_t, is known for every
 step before the variance network runs; ``forward_pass`` evaluates all of
 that at once and loops only over N independent scalar variance recursions.
-Its per-component arrays are component-major, (N, T), and its hidden
+Their steps fold the pinned linear node into one coefficient and skip tanh
+nodes with output weight 0 (all of them under ``pretrain`` init). Its
+per-component arrays are component-major, (N, T), and its hidden
 activations (K, T), so every sum, maximum or softmax over components is an
 elementwise operation over contiguous rows of length T.
 
@@ -270,22 +272,20 @@ class ForwardCache(NamedTuple):
     final_state: RecurrentState
 
 
-def _variance_recursion(drive: list[float], s2: float, out_w: list[float],
-                        in_w: list[float], in_b: list[float], alpha: float,
+def _variance_recursion(drive: list[float], s2: float, c0: float,
+                        nodes: list[tuple[float, float, float]], alpha: float,
                         one_eps: float) -> tuple[list[float], list[float]]:
     """One component's variance recursion over Python floats.
 
-    ``drive[t]`` is everything in the pre-activation that does not depend on
-    the component's own previous variance; ``out_w``, ``in_w`` and ``in_b``
-    are the weights of the K hidden nodes reading that variance (node 0
-    linear). Returns the pre-activations z_t and the variances pelu(z_t).
+    z_t = drive[t] + c0 * s2 + the sum of w * tanh(a * s2 + b) over the
+    (w, a, b) in ``nodes``: the previous variance s2 times its coefficient
+    through the linear node, the live tanh nodes reading it, and ``drive``
+    for the rest. Returns the pre-activations z_t and variances pelu(z_t).
     """
-    w0, a0, b0 = out_w[0], in_w[0], in_b[0]
-    tanh_nodes = list(zip(out_w[1:], in_w[1:], in_b[1:]))
     zs, s2s = [], []
     for d in drive:
-        z = d + w0 * (a0 * s2 + b0)
-        for w, a, b in tanh_nodes:
+        z = d + c0 * s2
+        for w, a, b in nodes:
             z += w * math.tanh(a * s2 + b)
         # NaN compares false and takes the saturating branch, where it stays NaN
         s2 = (z if z > 0.0 else alpha * math.expm1(z)) + one_eps
@@ -303,8 +303,8 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
     squared residuals fed to the variance network and that network's whole
     e2 side are evaluated for all steps at once. What is left is N
     independent scalar recursions, one per component, run over Python
-    floats. Non-finite values are allowed to propagate (divergence is
-    observable data). See ``ForwardCache`` for the shapes.
+    floats on the live tanh nodes. Non-finite values propagate (divergence
+    is observable data). See ``ForwardCache`` for the shapes.
     """
     t_len = values.size
     n, k = config.n_components, config.k_hidden
@@ -322,18 +322,26 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
         e2 = resid * resid
         e2_prev = lagged(init.e2_prev, e2)
         he = _hidden_batch(e2_prev, params.var_in_w[:k], params.var_in_b[:k])
-        drive = params.var_out_w[:, :k] @ he + params.var_out_b[:, None]
+        # the linear node reading s2 folds in: at the pinned a0 = 1, b0 = 0,
+        # w0 * (a0 * s2 + b0) is bit for bit w0 * b0, in drive, plus (w0 * a0) * s2
+        ws, in_w, in_b = params.var_out_w[:, k:], params.var_in_w[k:], params.var_in_b[k:]
+        drive = params.var_out_w[:, :k] @ he + (params.var_out_b + ws[:, 0] * in_b[0])[:, None]
 
-        z = np.empty((n, t_len))
-        sigma2 = np.empty((n, t_len))
-        in_w, in_b = params.var_in_w[k:].tolist(), params.var_in_b[k:].tolist()
+        z, sigma2 = np.empty((n, t_len)), np.empty((n, t_len))
+        in_w1, in_b1 = in_w[1:].tolist(), in_b[1:].tolist()
         for i in range(n):
-            z[i], sigma2[i] = _variance_recursion(
-                drive[i].tolist(), float(init.sigma2_prev[i]),
-                params.var_out_w[i, k:].tolist(), in_w, in_b, alpha, one_eps)
+            # a tanh node with output weight 0 and finite inputs adds +-0 to z ...
+            live = [(w, a, b) for w, a, b in zip(ws[i, 1:].tolist(), in_w1, in_b1)
+                    if w != 0.0 or not (math.isfinite(a) and math.isfinite(b))]
+            z[i], sigma2[i] = _variance_recursion(drive[i].tolist(), float(init.sigma2_prev[i]),
+                                                  float(ws[i, 0] * in_w[0]), live, alpha, one_eps)
+        # ... but 0 * inf is NaN if its input weight is 0 and s2 inf, and NaN recurs
+        lost = (np.any((ws[:, 1:] == 0.0) & (in_w[1:] == 0.0), axis=1)[:, None]
+                & np.logical_or.accumulate(np.isinf(lagged(init.sigma2_prev, sigma2)), axis=1))
+        z[lost] = sigma2[lost] = np.nan
 
         s2_prev = lagged(init.sigma2_prev, sigma2)
-        hs = _hidden_batch(s2_prev, params.var_in_w[k:], params.var_in_b[k:])
+        hs = _hidden_batch(s2_prev, in_w, in_b)
         dpelu = np.where(z > 0.0, 1.0, alpha * np.expm1(np.minimum(z, 0.0)) + alpha)
 
     final = RecurrentState(sigma2[:, -1].copy(), e2[-1])

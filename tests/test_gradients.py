@@ -243,14 +243,20 @@ class TestGradient:
 
 
 @st.composite
-def gradient_cases(draw, max_len=40, bias=(-3.0, 3.0)):
+def gradient_cases(draw, max_len=40, bias=(-3.0, 3.0), zero_tanh=False):
     """N, K in 1..4, either init scheme, T <= max_len, and variance output
     biases drawn from ``bias``, which spreads pre-activations over both
-    sides of the pelu kink."""
+    sides of the pelu kink. With ``zero_tanh`` a random subset of the
+    variance network's tanh output weights is set to exactly 0."""
     n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     cfg = RmdnConfig(n_components=n, k_hidden=k)
     p = init_params(cfg, draw(st.integers(0, 50000)), draw(st.sampled_from(SCHEMES)))
     p.var_out_b[:] = draw(st.lists(st.floats(*bias), min_size=n, max_size=n))
+    if zero_tanh:
+        node = RmdnParams(*param_layout(n, k).split(param_layout(n, k).tanh)).var_out_w
+        size = int(node.sum())
+        zero = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        p.var_out_w[node] = np.where(zero, 0.0, p.var_out_w[node])
     series = simulate_garch(PROBE, draw(st.integers(2, max_len)), seed=draw(st.integers(0, 10000)))
     return series.values, p, cfg
 
@@ -294,24 +300,93 @@ class TestGradientProperties:
             assert math.isnan(loss) and np.all(np.isnan(grads))
 
 
+def loop_variances(p, cfg, init, he):
+    """The variances of the oracle's sequential loop, which evaluates every
+    node reading the previous variance and the linear one as
+    ``w0 * (a0 * s2 + b0)``, fed the drive ``forward_pass`` computes from
+    its e2-side hidden activations ``he``."""
+    k = cfg.k_hidden
+    drive = p.var_out_w[:, :k] @ he + p.var_out_b[:, None]
+    return np.array([time_major_reference.variance_recursion(
+        drive[i].tolist(), float(init.sigma2_prev[i]), p.var_out_w[i, k:].tolist(),
+        p.var_in_w[k:].tolist(), p.var_in_b[k:].tolist(), cfg.elu_alpha,
+        1.0 + cfg.elu_eps)[1] for i in range(cfg.n_components)])
+
+
 class TestAgainstTimeMajorOracle:
-    """The component-major forward pass and adjoint against the time-major
-    (T, N) implementation they replaced. Only the order of some sums
-    differs, so the two agree to rounding: the loss within 1e-13 relative,
-    each gradient entry within 1e-11 of the largest."""
+    """The forward pass and the gradient against the time-major (T, N)
+    implementation with sequential loops. Fed the same drive, the variance
+    loop gives the same variances to the bit, and so the same loss:
+    skipping tanh nodes whose output weight is 0 and folding the linear
+    node change no value. The time-major layout orders some sums
+    differently and the scan sums the adjoint in another order, so against
+    the whole oracle the loss agrees within 1e-13 relative and each
+    gradient entry within 1e-11 of the largest."""
 
     # biases in [-6, 0] put steps in both branches in over half of the cases
-    @given(gradient_cases(max_len=60, bias=(-6.0, 0.0)))
+    @given(gradient_cases(max_len=60, bias=(-6.0, 0.0), zero_tanh=True))
     @settings(deadline=None, max_examples=60)
     def test_loss_and_gradient_match(self, case):
         values, p, cfg = case
         init = initial_state(values, cfg)
-        positive = forward_pass(values, p, cfg, init).dpelu == 1.0
+        cache = forward_pass(values, p, cfg, init)
+        positive = cache.dpelu == 1.0
         assume(positive.any() and not positive.all())
+        sigma2 = loop_variances(p, cfg, init, cache.he)
         loss_ref, g_ref = time_major_reference.gradient(values, p, cfg, init)
         loss, g = gradient(values, p, cfg, init)
+        assert np.array_equal(cache.sigma2, sigma2)
         assert abs(loss - loss_ref) <= 1e-13 * abs(loss_ref)
         assert np.all(np.abs(g - g_ref) <= 1e-11 * np.max(np.abs(g_ref)))
+
+    def test_infinite_variance_turns_nan_through_skipped_node(self):
+        """A pretrain model whose first component's variance grows tenfold
+        per step overflows to inf. Its tanh nodes read that variance with
+        input weight 0, so the sequential loop gets 0 * inf = NaN at the
+        next step and NaN from there on; the forward pass skips those nodes
+        and must still give the same variances."""
+        cfg = RmdnConfig(n_components=2, k_hidden=3)
+        p = init_params(cfg, 4, "pretrain")
+        p.var_out_w[0, cfg.k_hidden] = 10.0
+        values = simulate_garch(PROBE, 400, seed=5).values
+        init = initial_state(values, cfg)
+        cache = forward_pass(values, p, cfg, init)
+        assert np.isinf(cache.sigma2[0]).any() and np.isnan(cache.sigma2[0, -1])
+        assert np.array_equal(cache.sigma2, loop_variances(p, cfg, init, cache.he),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("field", ["var_in_w", "var_in_b"])
+    def test_skipped_node_keeps_a_nan_input(self, field):
+        """A tanh node with output weight 0 still makes z NaN at every step
+        through a NaN input weight or bias, so the forward pass keeps it."""
+        cfg = RmdnConfig(n_components=2, k_hidden=3)
+        p = init_params(cfg, 4, "pretrain")
+        getattr(p, field)[cfg.k_hidden + 1] = math.nan
+        values = simulate_garch(PROBE, 50, seed=5).values
+        init = initial_state(values, cfg)
+        cache = forward_pass(values, p, cfg, init)
+        assert np.isnan(cache.sigma2).all()
+        assert np.array_equal(cache.sigma2, loop_variances(p, cfg, init, cache.he),
+                              equal_nan=True)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(SCHEMES),
+           st.integers(2, 400), st.floats(-4.0, 4.0), st.integers(0, 10000))
+    @settings(deadline=None, max_examples=100)
+    def test_gradient_finite_where_the_loop_is(self, n, k, scheme, t_len, log_scale, seed):
+        """The scan multiplies the adjoint factors of distant steps, which can
+        overflow where the loop's step-by-step product does not. Over series
+        scales from 1e-4 to 1e4, T past eight doubling levels and every
+        trainable parameter inflated by its own factor of up to 10^1.5, the
+        gradient is finite exactly where the loop's is."""
+        cfg = RmdnConfig(n_components=n, k_hidden=k)
+        rng = np.random.default_rng(seed)
+        theta = flatten_params(init_params(cfg, seed, scheme), cfg)
+        p = unflatten_params(theta * 10.0 ** rng.uniform(0.0, 1.5, theta.size), cfg)
+        values = simulate_garch(PROBE, t_len, seed=seed).values * 10.0 ** log_scale
+        init = initial_state(values, cfg)
+        _, g = gradient(values, p, cfg, init)
+        _, g_ref = time_major_reference.gradient(values, p, cfg, init)
+        assert np.isfinite(g).all() == np.isfinite(g_ref).all()
 
 
 def test_finite_loss_with_non_finite_gradient_is_returned_silently():

@@ -1,18 +1,53 @@
 """The time-major (T, N) forward pass and gradient, kept as the oracle of
 the component-major (N, T) implementation in ``rmdn``.
 
-Both versions do the same arithmetic; only the array layout, and with it
-the order of some floating-point sums, differ. The two scalar recursions
-take Python lists and are shared with ``rmdn``.
+Both versions compute the same function; the array layout changes the
+order of some floating-point sums, so the two agree to rounding. This one
+keeps the two sequential loops over Python floats: the variance recursion
+evaluates every hidden node reading the previous variance, the pinned
+linear node as ``w0 * (a0 * s2 + b0)``, and the adjoint runs step by step
+backwards in time. ``rmdn`` folds the linear node, skips tanh nodes that
+cannot change z, and solves the adjoint by a doubling scan.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from rmdn.gradients import _adjoint_recursion, flatten_params, n_trainable
+from rmdn.gradients import flatten_params, n_trainable
 from rmdn.mixture import LOG_2PI
-from rmdn.network import RmdnParams, _variance_recursion
+from rmdn.network import RmdnParams
+
+
+def variance_recursion(drive, s2, out_w, in_w, in_b, alpha, one_eps):
+    """One component's variance recursion over Python floats: pre-activations
+    z_t and variances pelu(z_t), node 0 linear."""
+    w0, a0, b0 = out_w[0], in_w[0], in_b[0]
+    tanh_nodes = list(zip(out_w[1:], in_w[1:], in_b[1:]))
+    zs, s2s = [], []
+    for d in drive:
+        z = d + w0 * (a0 * s2 + b0)
+        for w, a, b in tanh_nodes:
+            z += w * math.tanh(a * s2 + b)
+        s2 = (z if z > 0.0 else alpha * math.expm1(z)) + one_eps
+        zs.append(z)
+        s2s.append(s2)
+    return zs, s2s
+
+
+def adjoint_recursion(dl_ds2, dpelu, carry):
+    """One component's adjoint over Python floats,
+    gz_t = (dl_ds2_t + carry_{t+1} * gz_{t+1}) * dpelu_t with gz_T = 0.
+    Takes and returns every sequence in reverse time order."""
+    out = []
+    gz, carry_next = 0.0, 0.0
+    for dl, dp, c in zip(dl_ds2, dpelu, carry):
+        gz = (dl + carry_next * gz) * dp
+        out.append(gz)
+        carry_next = c
+    return out
 
 
 def lag_rows(first, x):
@@ -57,7 +92,7 @@ def forward_pass(values, params, config, init):
         sigma2 = np.empty((t_len, n))
         in_w, in_b = params.var_in_w[k:].tolist(), params.var_in_b[k:].tolist()
         for i in range(n):
-            z[:, i], sigma2[:, i] = _variance_recursion(
+            z[:, i], sigma2[:, i] = variance_recursion(
                 drive[:, i].tolist(), float(init.sigma2_prev[i]),
                 params.var_out_w[i, k:].tolist(), in_w, in_b, alpha, one_eps)
         s2_prev = lag_rows(init.sigma2_prev, sigma2)
@@ -108,7 +143,7 @@ def gradient(values, params, config, init):
     carry = ws_iw[:, 0] + np.einsum("tnk,nk->tn", dtanh_s, ws_iw[:, 1:])
     gz_all = np.empty((t_len, n))
     for i in range(n):
-        gz_all[::-1, i] = _adjoint_recursion(
+        gz_all[::-1, i] = adjoint_recursion(
             dl_ds2[::-1, i].tolist(), c["dpelu"][::-1, i].tolist(), carry[::-1, i].tolist())
 
     (ge_in_w, ge_in_b, ge_out_w, g_var_out_b), ghe = hidden_backward(
