@@ -14,6 +14,10 @@ variance network are each a hidden layer over one scalar input per step,
 and ``_hidden_backward`` is the one backward step through them. Like
 ``forward_pass``, every adjoint is component-major, (N, T) or (K, T), so
 reductions over components and hidden nodes are elementwise over rows.
+The forward pass does not keep what only the gradient reads: ``gradient``
+rebuilds the hidden nodes reading the previous variance and the output
+unit's derivative pelu'(z) from the cache's ``drive`` and ``s2_prev``,
+summing z in the order of the variance loop.
 
 Two stability details:
   * the loss gradient is taken with respect to the mixing logits directly,
@@ -36,11 +40,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .mixture import _as_values, log_joint, nll_arrays
-from .network import (RecurrentState, RmdnConfig, RmdnParams, forward_pass,
-                      param_layout)
+from .network import (RecurrentState, RmdnConfig, RmdnParams, _hidden_batch,
+                      forward_pass, param_layout)
 
-# finite_diff_check's step h
+# finite_diff_check's step h, and how often it halves h where a bump crosses the kink
 _FD_STEP = 1e-5
+_FD_HALVINGS = 10
 
 
 def n_trainable(config: RmdnConfig) -> int:
@@ -131,8 +136,19 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     dl_dmu = -p_post * d * inv_s2            # (N, T)
     dl_ds2 = 0.5 * p_post * inv_s2 * (1.0 - d * d * inv_s2)
 
+    # the hidden nodes reading s2_prev and pelu'(z), which only the gradient
+    # reads, with z summed in the variance loop's order: a tanh node the loop
+    # skips adds +-0 here (its 0 * inf = NaN at a step forward_pass marks lost
+    # never gets here, since that step's NaN variance makes the loss NaN)
     ws = params.var_out_w[:, k:]             # (N, K)
-    dtanh_s = 1.0 - cache.hs[1:] ** 2        # (K-1, N, T)
+    with np.errstate(invalid="ignore", over="ignore"):
+        hs = _hidden_batch(cache.s2_prev, params.var_in_w[k:], params.var_in_b[k:])  # (K, N, T)
+        z = cache.drive + ws[:, :1] * params.var_in_w[k] * cache.s2_prev
+        for j in range(1, k):
+            z += ws[:, j:j + 1] * hs[j]
+    alpha = config.elu_alpha
+    dpelu = np.where(z > 0.0, 1.0, alpha * np.expm1(np.minimum(z, 0.0)) + alpha)
+    dtanh_s = 1.0 - hs[1:] ** 2              # (K-1, N, T)
 
     # carry[i, t] = d z_{i,t} / d s2_prev_{i,t}, the only recurrent path
     ws_iw = (ws * params.var_in_w[k:]).T     # (K, N)
@@ -141,9 +157,9 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     # is linear in gz: a doubling scan solves it in ceil(log2 T) passes. A variance
     # that overflowed meets a zero or huge adjoint here and in g_var: the NaN or
     # inf it gives is the divergence signal, so it must not warn
-    gz = cache.dpelu * dl_ds2                # d loss / d z, per component
+    gz = dpelu * dl_ds2                      # d loss / d z, per component
     a = np.zeros_like(gz)
-    a[:, :-1] = cache.dpelu[:, :-1] * carry[:, 1:]
+    a[:, :-1] = dpelu[:, :-1] * carry[:, 1:]
     s = 1
     with np.errstate(invalid="ignore", over="ignore"):
         while s < t_len:
@@ -163,7 +179,7 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     with np.errstate(invalid="ignore", over="ignore"):
         g_var = (np.concatenate([ge_in_w, ghs.reshape(k, -1) @ cache.s2_prev.ravel()]),
                  np.concatenate([ge_in_b, ghs.sum(axis=(1, 2))]),
-                 np.hstack([ge_out_w, np.sum(cache.hs * gz, axis=2).T]),
+                 np.hstack([ge_out_w, np.sum(hs * gz, axis=2).T]),
                  g_var_out_b)
 
     # loss -> logits directly (eta - p), plus the residual path through mubar
@@ -175,12 +191,6 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     g_mean, _ = _hidden_backward(gmu_tot, cache.hmu, cache.inputs, params.mean_out_w)
 
     return loss, flatten_params(RmdnParams(*g_mix, *g_mean, *g_var), config)
-
-
-def _nll_flat(theta: np.ndarray, values: np.ndarray, config: RmdnConfig,
-              init: RecurrentState) -> float:
-    cache = forward_pass(values, unflatten_params(theta, config), config, init)
-    return nll_arrays(values, cache.eta, cache.mu, cache.sigma2)
 
 
 @dataclass
@@ -213,24 +223,37 @@ def finite_diff_check(series, params: RmdnParams, config: RmdnConfig,
     forward passes per parameter).
 
     The truncation error falls as h^4 and the roundoff grows as 1/h; at
-    h = ``_FD_STEP`` = 1e-5 both stay far below the default tol. A smaller
-    step raises the roundoff, a larger one the error where a bump crosses
-    the kink of the variance unit."""
+    h = ``_FD_STEP`` = 1e-5 both stay far below the default tol where the
+    function is smooth. It is not where a bump moves a step across the kink
+    of the variance unit, so an entry whose bumps change which branch of
+    the unit any step takes is differenced again at half the step, up to
+    ``_FD_HALVINGS`` times, and checked at the same tol against the last
+    of those differences."""
     values = _as_values(series)
     _, analytic = gradient(values, params, config, init)
     theta = flatten_params(params, config)
+    one_eps = 1.0 + config.elu_eps
 
-    def nll_at(i, offset):
+    def nll_and_branches(i, offset):
         bumped = theta.copy()
         bumped[i] += offset
-        return _nll_flat(bumped, values, config, init)
+        cache = forward_pass(values, unflatten_params(bumped, config), config, init)
+        return nll_arrays(values, cache.eta, cache.mu, cache.sigma2), cache.sigma2 > one_eps
 
-    h = _FD_STEP
-    numeric = np.array([
-        (8.0 * (nll_at(i, h) - nll_at(i, -h))
-         - (nll_at(i, 2.0 * h) - nll_at(i, -2.0 * h))) / (12.0 * h)
-        for i in range(theta.size)
-    ])
+    branches = nll_and_branches(0, 0.0)[1]
+
+    def stencil(i, h):
+        (fp, bp), (fm, bm), (f2p, b2p), (f2m, b2m) = (
+            nll_and_branches(i, offset) for offset in (h, -h, 2.0 * h, -2.0 * h))
+        smooth = all(np.array_equal(b, branches) for b in (bp, bm, b2p, b2m))
+        return (8.0 * (fp - fm) - (f2p - f2m)) / (12.0 * h), smooth
+
+    numeric = np.empty(theta.size)
+    for i in range(theta.size):
+        for halvings in range(_FD_HALVINGS + 1):
+            numeric[i], smooth = stencil(i, _FD_STEP / 2.0 ** halvings)
+            if smooth:
+                break
     scale = np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-3
     deviations = np.abs(analytic - numeric) / scale
     return FiniteDiffReport(deviations, tol, analytic, numeric)

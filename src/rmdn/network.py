@@ -23,10 +23,14 @@ read lagged returns alone, so mubar_t, and with it e2_t, is known for every
 step before the variance network runs; ``forward_pass`` evaluates all of
 that at once and loops only over N independent scalar variance recursions.
 Their steps fold the pinned linear node into one coefficient and skip tanh
-nodes with output weight 0 (all of them under ``pretrain`` init). Its
-per-component arrays are component-major, (N, T), and its hidden
-activations (K, T), so every sum, maximum or softmax over components is an
-elementwise operation over contiguous rows of length T.
+nodes with output weight 0 (all of them under ``pretrain`` init); the loop
+body is generated once per count of live tanh nodes, with those nodes
+spelled out, and records only the variances. The forward pass keeps the
+s2-independent part of each pre-activation (``drive``); the arrays only
+the gradient reads are rebuilt there. Its per-component arrays are
+component-major, (N, T), and its hidden activations (K, T), so every sum,
+maximum or softmax over components is an elementwise operation over
+contiguous rows of length T.
 
 With a single component and all tanh weights at zero the model collapses to
 an AR(1) conditional mean and, whenever the variance pre-activation is
@@ -252,9 +256,12 @@ def initial_state(series, config: RmdnConfig) -> RecurrentState:
 
 
 class ForwardCache(NamedTuple):
-    """Everything the backward pass needs from one unrolled forward pass.
+    """What one unrolled forward pass computes on the way to the variances.
 
-    Time is the last axis of every array: column t belongs to step t.
+    Time is the last axis of every array: column t belongs to step t. The
+    arrays only the backward pass reads, the hidden nodes reading s2_prev
+    and the output unit's derivative, are not here: ``gradient`` rebuilds
+    them from ``drive`` and ``s2_prev``, so scoring does not pay for them.
     """
 
     inputs: np.ndarray    # (T,)  lag-1 inputs, inputs[0] = 0
@@ -263,8 +270,7 @@ class ForwardCache(NamedTuple):
     hmu: np.ndarray       # (K, T)  mean hidden activations
     mu: np.ndarray        # (N, T)
     he: np.ndarray        # (K, T)  variance hidden nodes reading e2_prev
-    hs: np.ndarray        # (K, N, T)  variance hidden nodes reading s2_prev
-    dpelu: np.ndarray     # (N, T)  output-unit derivative at the pre-activation
+    drive: np.ndarray     # (N, T)  the pre-activation's terms that do not read s2_prev
     sigma2: np.ndarray    # (N, T)
     e2_prev: np.ndarray   # (T,)  squared residual fed at each step
     s2_prev: np.ndarray   # (N, T)  variances fed at each step
@@ -272,26 +278,33 @@ class ForwardCache(NamedTuple):
     final_state: RecurrentState
 
 
-def _variance_recursion(drive: list[float], s2: float, c0: float,
-                        nodes: list[tuple[float, float, float]], alpha: float,
-                        one_eps: float) -> tuple[list[float], list[float]]:
-    """One component's variance recursion over Python floats.
-
-    z_t = drive[t] + c0 * s2 + the sum of w * tanh(a * s2 + b) over the
-    (w, a, b) in ``nodes``: the previous variance s2 times its coefficient
-    through the linear node, the live tanh nodes reading it, and ``drive``
-    for the rest. Returns the pre-activations z_t and variances pelu(z_t).
-    """
-    zs, s2s = [], []
+_LOOP = """def loop(drive, s2, c0, {args}alpha, one_eps):
+    s2s = []
     for d in drive:
-        z = d + c0 * s2
-        for w, a, b in nodes:
-            z += w * math.tanh(a * s2 + b)
+        z = d + c0 * s2{terms}
         # NaN compares false and takes the saturating branch, where it stays NaN
-        s2 = (z if z > 0.0 else alpha * math.expm1(z)) + one_eps
-        zs.append(z)
+        s2 = (z if z > 0.0 else alpha * expm1(z)) + one_eps
         s2s.append(s2)
-    return zs, s2s
+    return s2s
+"""
+
+
+@functools.lru_cache(maxsize=32)
+def _variance_recursion(n_nodes: int):
+    """One component's variance recursion over Python floats, generated for
+    ``n_nodes`` live tanh nodes and cached.
+
+    ``loop(drive, s2, c0, w0, a0, b0, ..., alpha, one_eps)`` computes
+    z_t = drive[t] + c0 * s2 + w0 * tanh(a0 * s2 + b0) + ..., adding the
+    terms in that order: the previous variance s2 times its coefficient
+    through the linear node, then each live tanh node reading it, with
+    ``drive`` for the rest. It returns the variances pelu(z_t).
+    """
+    args = "".join(f"w{j}, a{j}, b{j}, " for j in range(n_nodes))
+    terms = "".join(f" + w{j} * tanh(a{j} * s2 + b{j})" for j in range(n_nodes))
+    namespace = {"tanh": math.tanh, "expm1": math.expm1}
+    exec(_LOOP.format(args=args, terms=terms), namespace)
+    return namespace["loop"]
 
 
 def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
@@ -303,8 +316,9 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
     squared residuals fed to the variance network and that network's whole
     e2 side are evaluated for all steps at once. What is left is N
     independent scalar recursions, one per component, run over Python
-    floats on the live tanh nodes. Non-finite values propagate (divergence
-    is observable data). See ``ForwardCache`` for the shapes.
+    floats by the loop ``_variance_recursion`` generates for its count of
+    live tanh nodes. Non-finite values propagate (divergence is observable
+    data). See ``ForwardCache`` for the shapes.
     """
     t_len = values.size
     n, k = config.n_components, config.k_hidden
@@ -327,25 +341,26 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
         ws, in_w, in_b = params.var_out_w[:, k:], params.var_in_w[k:], params.var_in_b[k:]
         drive = params.var_out_w[:, :k] @ he + (params.var_out_b + ws[:, 0] * in_b[0])[:, None]
 
-        z, sigma2 = np.empty((n, t_len)), np.empty((n, t_len))
+        sigma2 = np.empty((n, t_len))
         in_w1, in_b1 = in_w[1:].tolist(), in_b[1:].tolist()
         for i in range(n):
             # a tanh node with output weight 0 and finite inputs adds +-0 to z ...
-            live = [(w, a, b) for w, a, b in zip(ws[i, 1:].tolist(), in_w1, in_b1)
-                    if w != 0.0 or not (math.isfinite(a) and math.isfinite(b))]
-            z[i], sigma2[i] = _variance_recursion(drive[i].tolist(), float(init.sigma2_prev[i]),
-                                                  float(ws[i, 0] * in_w[0]), live, alpha, one_eps)
-        # ... but 0 * inf is NaN if its input weight is 0 and s2 inf, and NaN recurs
-        lost = (np.any((ws[:, 1:] == 0.0) & (in_w[1:] == 0.0), axis=1)[:, None]
-                & np.logical_or.accumulate(np.isinf(lagged(init.sigma2_prev, sigma2)), axis=1))
-        z[lost] = sigma2[lost] = np.nan
-
+            live = [x for w, a, b in zip(ws[i, 1:].tolist(), in_w1, in_b1)
+                    if w != 0.0 or not (math.isfinite(a) and math.isfinite(b)) for x in (w, a, b)]
+            sigma2[i] = _variance_recursion(len(live) // 3)(
+                drive[i].tolist(), float(init.sigma2_prev[i]), float(ws[i, 0] * in_w[0]),
+                *live, alpha, one_eps)
         s2_prev = lagged(init.sigma2_prev, sigma2)
-        hs = _hidden_batch(s2_prev, in_w, in_b)
-        dpelu = np.where(z > 0.0, 1.0, alpha * np.expm1(np.minimum(z, 0.0)) + alpha)
+        inf = np.isinf(s2_prev)
+        if inf.any():
+            # ... but 0 * inf is NaN if its input weight is 0 and s2 inf, and NaN recurs
+            lost = (np.any((ws[:, 1:] == 0.0) & (in_w[1:] == 0.0), axis=1)[:, None]
+                    & np.logical_or.accumulate(inf, axis=1))
+            sigma2[lost] = np.nan
+            s2_prev = lagged(init.sigma2_prev, sigma2)
 
     final = RecurrentState(sigma2[:, -1].copy(), e2[-1])
-    return ForwardCache(inputs, hm, eta, hmu, mu, he, hs, dpelu, sigma2,
+    return ForwardCache(inputs, hm, eta, hmu, mu, he, drive, sigma2,
                         e2_prev, s2_prev, resid, final)
 
 

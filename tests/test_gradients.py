@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -10,8 +11,8 @@ from rmdn.gradients import (apply_mask, finite_diff_check, flatten_params,
                             gradient, n_trainable, nonlinear_node_mask,
                             unflatten_params)
 from rmdn.network import (SCHEMES, RecurrentState, RmdnConfig, RmdnParams,
-                          forward_pass, init_params, initial_state,
-                          param_layout, unroll)
+                          _variance_recursion, forward_pass, init_params,
+                          initial_state, param_layout, unroll)
 from rmdn.optim import TrainSchedule, train
 
 import time_major_reference
@@ -270,9 +271,22 @@ def two_point_failure_case():
     return simulate_garch(PROBE, 36, seed=2924).values, p, cfg
 
 
+def kink_crossing_case():
+    """Component 4's pre-activation passes within 3.6e-4 of the pelu kink,
+    and the 2h bumps of the fourth-order stencil at h = 1e-5 move it across
+    the kink: that difference deviates from the analytic gradient by
+    1.1e-4, above the tol of 1e-5, on one entry. A case hypothesis drew,
+    rebuilt from its weights (its last bias is known to four decimals)."""
+    cfg = RmdnConfig(n_components=4, k_hidden=1)
+    p = init_params(cfg, 37, "plain")
+    p.var_out_b[:] = [0.0, 0.0, 0.0, -2.2718]
+    return simulate_garch(PROBE, 19, seed=1137).values, p, cfg
+
+
 class TestGradientProperties:
     @given(gradient_cases())
     @example(two_point_failure_case())
+    @example(kink_crossing_case())
     @settings(deadline=None, max_examples=30)
     def test_finite_difference_agreement(self, case):
         values, p, cfg = case
@@ -313,6 +327,38 @@ def loop_variances(p, cfg, init, he):
         1.0 + cfg.elu_eps)[1] for i in range(cfg.n_components)])
 
 
+def overflow_case():
+    """A pretrain model whose first component's variance grows tenfold per
+    step, so that it overflows to inf."""
+    cfg = RmdnConfig(n_components=2, k_hidden=3)
+    p = init_params(cfg, 4, "pretrain")
+    p.var_out_w[0, cfg.k_hidden] = 10.0
+    return simulate_garch(PROBE, 400, seed=5).values, p, cfg
+
+
+def live_node_case(n, k, kept=()):
+    """N components and K hidden nodes where component i keeps the output
+    weights of its first min(i, K-1) tanh nodes reading s2 and has the rest
+    at 0, so the variance loop runs with that many live nodes, and visits
+    both pelu branches. Each (field, value) in ``kept`` sets the last tanh
+    node's input weight or bias to a non-finite value, which keeps that
+    node live at output weight 0."""
+    cfg = RmdnConfig(n_components=n, k_hidden=k)
+    p = init_params(cfg, 8, "plain")
+    p.var_out_w[:] = np.random.default_rng(n * k).uniform(-0.5, 0.5, (n, 2 * k))
+    p.var_out_w[:, [0, k]] = 0.5
+    p.var_out_b[:] = -1.4
+    for i in range(n):
+        p.var_out_w[i, k + 1 + i:] = 0.0
+    for field, value in kept:
+        getattr(p, field)[-1] = value
+    return simulate_garch(PROBE, 60, seed=9).values, p, cfg
+
+
+KEPT_LIVE = [(), (("var_in_w", math.inf),), (("var_in_w", math.nan),),
+             (("var_in_b", -math.inf),), (("var_in_w", -math.inf), ("var_in_b", math.inf))]
+
+
 class TestAgainstTimeMajorOracle:
     """The forward pass and the gradient against the time-major (T, N)
     implementation with sequential loops. Fed the same drive, the variance
@@ -329,9 +375,9 @@ class TestAgainstTimeMajorOracle:
     def test_loss_and_gradient_match(self, case):
         values, p, cfg = case
         init = initial_state(values, cfg)
-        cache = forward_pass(values, p, cfg, init)
-        positive = cache.dpelu == 1.0
+        positive = time_major_reference.forward_pass(values, p, cfg, init)["dpelu"] == 1.0
         assume(positive.any() and not positive.all())
+        cache = forward_pass(values, p, cfg, init)
         sigma2 = loop_variances(p, cfg, init, cache.he)
         loss_ref, g_ref = time_major_reference.gradient(values, p, cfg, init)
         loss, g = gradient(values, p, cfg, init)
@@ -345,15 +391,30 @@ class TestAgainstTimeMajorOracle:
         input weight 0, so the sequential loop gets 0 * inf = NaN at the
         next step and NaN from there on; the forward pass skips those nodes
         and must still give the same variances."""
-        cfg = RmdnConfig(n_components=2, k_hidden=3)
-        p = init_params(cfg, 4, "pretrain")
-        p.var_out_w[0, cfg.k_hidden] = 10.0
-        values = simulate_garch(PROBE, 400, seed=5).values
+        values, p, cfg = overflow_case()
         init = initial_state(values, cfg)
         cache = forward_pass(values, p, cfg, init)
         assert np.isinf(cache.sigma2[0]).any() and np.isnan(cache.sigma2[0, -1])
         assert np.array_equal(cache.sigma2, loop_variances(p, cfg, init, cache.he),
                               equal_nan=True)
+
+    @pytest.mark.parametrize("case", [
+        *(functools.partial(live_node_case, n, k, kept)
+          for n, k in [(4, 4), (2, 3)] for kept in KEPT_LIVE),
+        functools.partial(live_node_case, 1, 1), overflow_case])
+    def test_generated_loop_matches_every_node_loop(self, case):
+        """The loop generated for each count of live tanh nodes, 0 to 3,
+        gives the variances of the loop over every node bit for bit, NaN
+        and inf included, and is generated once per count."""
+        values, p, cfg = case()
+        init = initial_state(values, cfg)
+        cache = forward_pass(values, p, cfg, init)
+        assert np.array_equal(cache.sigma2, loop_variances(p, cfg, init, cache.he),
+                              equal_nan=True)
+        positive = cache.sigma2 > 1.0 + cfg.elu_eps
+        assert np.isnan(cache.sigma2).all() or (positive.any() and not positive.all())
+        for n_nodes in range(4):
+            assert _variance_recursion(n_nodes) is _variance_recursion(n_nodes)
 
     @pytest.mark.parametrize("field", ["var_in_w", "var_in_b"])
     def test_skipped_node_keeps_a_nan_input(self, field):
