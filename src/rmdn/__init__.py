@@ -2,8 +2,7 @@
 mixture density network and its nested AR(1)-GARCH(1,1) baseline."""
 
 from .data import (ParseError, ReturnSeries, TwoRegimeSpec, load_csv,
-                   prices_to_log_returns, sample_seeds, simulate_mixture_process,
-                   write_csv)
+                   sample_seeds, simulate_mixture_process, write_csv)
 from .garch import (GarchFitError, GarchParams, fit_garch, garch_filter,
                     garch_nll, simulate_garch)
 from .gradients import (FiniteDiffReport, apply_mask, finite_diff_check,

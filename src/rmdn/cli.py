@@ -26,10 +26,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="mixture components N (default: 2)")
     parser.add_argument("--hidden", type=int, default=3,
                         help="hidden nodes per subnetwork K (default: 3)")
-    parser.add_argument("--alpha", type=float, default=1.0,
-                        help="variance unit saturation scale (default: 1.0)")
-    parser.add_argument("--eps", type=float, default=1e-6,
-                        help="variance unit positive offset (default: 1e-6)")
 
 
 def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
@@ -160,7 +156,7 @@ def _cmd_fit(args) -> int:
             print(f"model written to {args.save}")
         return 0
 
-    config = RmdnConfig(args.components, args.hidden, args.alpha, args.eps)
+    config = RmdnConfig(args.components, args.hidden)
     method = METHOD_PRETRAINED if args.pretrain_epochs > 0 else METHOD_PLAIN
     params, mask, schedule = arm_setup(
         method, config, TrainSchedule(args.pretrain_epochs, args.epochs, args.lr), args.seed)
@@ -182,7 +178,7 @@ def _cmd_benchmark(args) -> int:
         load_csv(path, value_column=args.value_column, label_column=args.label_column)
         for path in args.data
     ]
-    config = RmdnConfig(args.components, args.hidden, args.alpha, args.eps)
+    config = RmdnConfig(args.components, args.hidden)
     schedule = TrainSchedule(args.pretrain_epochs, args.epochs, args.lr)
     report = run_benchmark(series_list, args.seeds, config, schedule,
                            meta_seed=args.meta_seed, workers=args.workers)
@@ -196,7 +192,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    config = RmdnConfig(args.components, args.hidden, args.alpha, args.eps)
+    config = RmdnConfig(args.components, args.hidden)
     params = init_params(config, args.seed, "plain")
     probe = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)
     series = simulate_garch(probe, args.length, args.seed)

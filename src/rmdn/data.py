@@ -1,4 +1,4 @@
-"""Return-series ingestion, transforms, and synthetic process generators.
+"""Return-series ingestion and synthetic process generators.
 
 CSV is the only ingestion format: UTF-8, comma-delimited, header row
 required, decimal point values. Loaders reject non-finite values so every
@@ -115,18 +115,6 @@ def write_csv(series: ReturnSeries, path) -> None:
             writer.writerow(["return"])
             for value in series.values:
                 writer.writerow([repr(float(value))])
-
-
-def prices_to_log_returns(prices, labels=None, name: str = "returns") -> ReturnSeries:
-    """r_t = log(P_t / P_{t-1}); output is one shorter than the input."""
-    prices = np.asarray(prices, dtype=float)
-    if prices.size < 2:
-        raise ValueError("need at least two prices")
-    if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
-        raise ValueError("prices must be positive and finite")
-    values = np.diff(np.log(prices))
-    out_labels = list(labels)[1:] if labels is not None else None
-    return ReturnSeries(values, labels=out_labels, name=name)
 
 
 @dataclass(frozen=True)

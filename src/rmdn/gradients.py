@@ -40,8 +40,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .mixture import _as_values, log_joint, nll_arrays
-from .network import (RecurrentState, RmdnConfig, RmdnParams, _hidden_batch,
-                      forward_pass, param_layout)
+from .network import (ELU_EPS, RecurrentState, RmdnConfig, RmdnParams,
+                      _hidden_batch, forward_pass, param_layout)
 
 # finite_diff_check's step h, and how often it halves h where a bump crosses the kink
 _FD_STEP = 1e-5
@@ -58,20 +58,16 @@ def flatten_params(params: RmdnParams, config: RmdnConfig) -> np.ndarray:
     return np.concatenate([getattr(params, f.name).ravel() for f in fields(params)])[free]
 
 
-def unflatten_params(theta: np.ndarray, config: RmdnConfig, pinned: bool = True) -> RmdnParams:
-    """Inverse of ``flatten_params``.
-
-    With ``pinned=True`` the pinned entries take their identifiability
-    values; with ``pinned=False`` they are zero (useful for viewing a
-    gradient vector in parameter shape).
-    """
+def unflatten_params(theta: np.ndarray, config: RmdnConfig) -> RmdnParams:
+    """Inverse of ``flatten_params``: the pinned entries take their
+    identifiability values."""
     layout = param_layout(config.n_components, config.k_hidden)
     theta = np.asarray(theta, dtype=float)
     if theta.size != n_trainable(config):
         raise ValueError(
             f"expected {n_trainable(config)} trainable parameters, got {theta.size}"
         )
-    flat = layout.pinned.copy() if pinned else np.zeros(layout.pinned.size)
+    flat = layout.pinned.copy()
     flat[layout.free] = theta
     return RmdnParams(*layout.split(flat))
 
@@ -146,8 +142,7 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
         z = cache.drive + ws[:, :1] * params.var_in_w[k] * cache.s2_prev
         for j in range(1, k):
             z += ws[:, j:j + 1] * hs[j]
-    alpha = config.elu_alpha
-    dpelu = np.where(z > 0.0, 1.0, alpha * np.expm1(np.minimum(z, 0.0)) + alpha)
+    dpelu = np.where(z > 0.0, 1.0, np.expm1(np.minimum(z, 0.0)) + 1.0)
     dtanh_s = 1.0 - hs[1:] ** 2              # (K-1, N, T)
 
     # carry[i, t] = d z_{i,t} / d s2_prev_{i,t}, the only recurrent path
@@ -232,7 +227,7 @@ def finite_diff_check(series, params: RmdnParams, config: RmdnConfig,
     values = _as_values(series)
     _, analytic = gradient(values, params, config, init)
     theta = flatten_params(params, config)
-    one_eps = 1.0 + config.elu_eps
+    one_eps = 1.0 + ELU_EPS
 
     def nll_and_branches(i, offset):
         bumped = theta.copy()

@@ -29,8 +29,8 @@ import numpy as np
 from .data import sample_seeds
 from .garch import GarchFitError, GarchParams, fit_garch
 from .gradients import nonlinear_node_mask
-from .network import (RecurrentState, RmdnConfig, RmdnParams, init_params,
-                      param_layout)
+from .network import (ELU_EPS, RecurrentState, RmdnConfig, RmdnParams,
+                      init_params, param_layout)
 from .optim import CONVERGED, TrainSchedule, classify_convergence, train
 
 METHOD_PRETRAINED = "pretrained"
@@ -40,6 +40,8 @@ RMDN_METHODS = (METHOD_PRETRAINED, METHOD_PLAIN)
 ALL_METHODS = (METHOD_PRETRAINED, METHOD_PLAIN, METHOD_GARCH)
 
 MODEL_SCHEMA_VERSION = 1
+# the variance unit as model files record it: elu's alpha and the offset eps
+_FILE_UNIT = {"elu_alpha": 1.0, "elu_eps": ELU_EPS}
 
 
 class ModelFileError(ValueError):
@@ -172,7 +174,7 @@ def save_model(params: RmdnParams, config: RmdnConfig, state: RecurrentState,
     """Write an RMDN model file: config, parameters and recurrent state."""
     _write_model_file(
         path,
-        config=asdict(config),
+        config={**asdict(config), **_FILE_UNIT},
         params={f.name: getattr(params, f.name).tolist() for f in fields(params)},
         state={"sigma2_prev": state.sigma2_prev.tolist(), "e2_prev": state.e2_prev},
     )
@@ -183,54 +185,77 @@ def save_garch_model(params: GarchParams, loglik: float, path) -> None:
     _write_model_file(path, model="garch", params=asdict(params), loglik=loglik)
 
 
+def _section(path, payload: dict, name: str) -> dict:
+    """The model file's JSON object under ``name``."""
+    if name not in payload:
+        raise ModelFileError(f"{path}: missing field {name!r}")
+    if not isinstance(payload[name], dict):
+        raise ModelFileError(f"{path}: field {name!r} must be a JSON object")
+    return payload[name]
+
+
+def _float_array(path, name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """A JSON number, or nested lists of numbers, as a float array of ``shape``."""
+    try:
+        raw = np.asarray(value)
+        numeric = raw.dtype.kind in "iuf"  # not bool, str or a mix holding null
+    except ValueError:  # ragged lists
+        numeric = False
+    if not numeric:
+        raise ModelFileError(f"{path}: {name} must hold only numbers")
+    if raw.shape != shape:
+        raise ModelFileError(
+            f"{path}: shape mismatch for {name}: file has {raw.shape}, needs {shape}")
+    return raw.astype(float)
+
+
 def load_model(path) -> tuple[RmdnParams, RmdnConfig, RecurrentState]:
-    """Read a model file back; round-trips every parameter bit-exactly."""
+    """Read a model file back; round-trips every parameter bit-exactly.
+
+    A file that is malformed, or that records a variance unit other than
+    the fixed one, raises ``ModelFileError`` naming the field.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8
             raise ModelFileError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ModelFileError(f"{path}: a model file is a JSON object")
 
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ModelFileError(
             f"{path}: unsupported schema_version {version!r} (expected {MODEL_SCHEMA_VERSION})"
         )
-    for section in ("config", "params", "state"):
-        if section not in payload:
-            raise ModelFileError(f"{path}: missing field {section!r}")
-    cfg = payload["config"]
+    cfg, params_in, st = (_section(path, payload, name) for name in ("config", "params", "state"))
     keys = [f.name for f in fields(RmdnConfig)]
-    for key in keys:
+    for key in (*keys, *_FILE_UNIT):
         if key not in cfg:
             raise ModelFileError(f"{path}: missing field config.{key}")
-    config = RmdnConfig(**{key: cfg[key] for key in keys})
+    for key, fixed in _FILE_UNIT.items():
+        if isinstance(cfg[key], bool) or cfg[key] != fixed:
+            raise ModelFileError(
+                f"{path}: config.{key} is {cfg[key]!r}; the variance unit is fixed at {fixed!r}")
+    try:
+        config = RmdnConfig(**{key: cfg[key] for key in keys})
+    except ValueError as exc:  # its message starts with the field's name
+        raise ModelFileError(f"{path}: config.{exc}") from None
 
     layout = param_layout(config.n_components, config.k_hidden)
     arrays = []
     for f, want in zip(fields(RmdnParams), layout.shapes):
-        if f.name not in payload["params"]:
+        if f.name not in params_in:
             raise ModelFileError(f"{path}: missing field params.{f.name}")
-        arr = np.asarray(payload["params"][f.name], dtype=float)
-        if arr.shape != want:
-            raise ModelFileError(
-                f"{path}: shape mismatch for params.{f.name}: file has {arr.shape}, "
-                f"config N={config.n_components} K={config.k_hidden} needs {want}"
-            )
-        arrays.append(arr)
+        arrays.append(_float_array(path, f"params.{f.name}", params_in[f.name], want))
     params = RmdnParams(*arrays)
 
-    st = payload["state"]
     for key in ("sigma2_prev", "e2_prev"):
         if key not in st:
             raise ModelFileError(f"{path}: missing field state.{key}")
-    sigma2_prev = np.asarray(st["sigma2_prev"], dtype=float)
-    if sigma2_prev.shape != (config.n_components,):
-        raise ModelFileError(
-            f"{path}: shape mismatch for state.sigma2_prev: file has {sigma2_prev.shape}, "
-            f"needs ({config.n_components},)"
-        )
-    state = RecurrentState(sigma2_prev, st["e2_prev"])
+    state = RecurrentState(
+        _float_array(path, "state.sigma2_prev", st["sigma2_prev"], (config.n_components,)),
+        _float_array(path, "state.e2_prev", st["e2_prev"], ()))
     return params, config, state
 
 

@@ -12,11 +12,13 @@ tanh:
 The variance network is recurrent: it reads the previous squared residual
 e2_t = (r_t - mubar_t)^2, where mubar_t is the previous step's mixture mean,
 and each component's own previous conditional variance. Its output unit is
+fixed:
 
-    pelu(x) = elu(x, alpha) + 1 + eps
+    pelu(x) = elu(x) + 1 + eps,  eps = ``ELU_EPS`` = 1e-6
 
-which is strictly positive for every finite input when 0 < alpha <= 1, so
-predicted variances can never reach zero or go negative.
+with elu's saturation scale alpha at 1. It is strictly positive for every
+finite input (its infimum, as x -> -inf, is eps), so predicted variances can
+never reach zero or go negative.
 
 Only the N component variances truly recur. The mixing and mean networks
 read lagged returns alone, so mubar_t, and with it e2_t, is known for every
@@ -62,31 +64,31 @@ from .mixture import MixturePath, _as_values
 
 SCHEMES = ("pretrain", "plain")
 
+# the variance unit's positive offset: pelu(x) = elu(x) + 1 + ELU_EPS
+ELU_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class RmdnConfig:
     """Architecture hyperparameters.
 
     n_components: mixture size N; k_hidden: hidden nodes per subnetwork
-    (node 1 linear, nodes 2..K tanh); elu_alpha: saturation scale of the
-    variance output unit; elu_eps: positive offset keeping variances > 0.
+    (node 1 linear, nodes 2..K tanh). Both are integers >= 1. The variance
+    output unit is fixed (``ELU_EPS``), so it has no setting here.
     """
 
     n_components: int = 2
     k_hidden: int = 3
-    elu_alpha: float = 1.0
-    elu_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.n_components < 1:
-            raise ValueError("n_components must be >= 1")
-        if self.k_hidden < 1:
-            raise ValueError("k_hidden must be >= 1")
-        # alpha > 1 would let the output unit go non-positive at saturation
-        if not 0.0 < self.elu_alpha <= 1.0:
-            raise ValueError("elu_alpha must be in (0, 1]")
-        if not 0.0 < self.elu_eps < 1e-3:
-            raise ValueError("elu_eps must be in (0, 1e-3)")
+        for name in ("n_components", "k_hidden"):
+            value = getattr(self, name)
+            # exactly int: not bool (an int subclass), not a float that fails only
+            # later in numpy, not a numpy integer that a model file cannot hold
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -121,16 +123,6 @@ class RmdnParams:
     @property
     def k_hidden(self) -> int:
         return self.mix_in_w.shape[0]
-
-    def copy(self) -> "RmdnParams":
-        return RmdnParams(*(np.array(getattr(self, f.name)) for f in fields(self)))
-
-    def pin(self) -> None:
-        """Reset the identifiability-pinned entries to their fixed values."""
-        layout = param_layout(self.n_components, self.k_hidden)
-        for f, fixed, value in zip(fields(self), layout.split(~layout.free),
-                                   layout.split(layout.pinned)):
-            getattr(self, f.name)[fixed] = value[fixed]
 
 
 class ParamLayout(NamedTuple):
@@ -198,7 +190,8 @@ def positive_elu(x, alpha: float, eps: float):
     """elu(x, alpha) + 1 + eps: x + 1 + eps for x > 0, else alpha*(e^x - 1) + 1 + eps.
 
     Continuous at 0 and strictly positive for every finite x when alpha <= 1
-    (the saturation value for x -> -inf is 1 - alpha + eps).
+    (the saturation value for x -> -inf is 1 - alpha + eps). The model's
+    variance unit is ``positive_elu(x, 1.0, ELU_EPS)``.
     """
     x = np.asarray(x, dtype=float)
     out = np.where(x > 0.0, x, alpha * np.expm1(np.minimum(x, 0.0))) + (1.0 + eps)
@@ -278,12 +271,12 @@ class ForwardCache(NamedTuple):
     final_state: RecurrentState
 
 
-_LOOP = """def loop(drive, s2, c0, {args}alpha, one_eps):
+_LOOP = """def loop(drive, s2, c0, {args}one_eps):
     s2s = []
     for d in drive:
         z = d + c0 * s2{terms}
         # NaN compares false and takes the saturating branch, where it stays NaN
-        s2 = (z if z > 0.0 else alpha * expm1(z)) + one_eps
+        s2 = (z if z > 0.0 else expm1(z)) + one_eps
         s2s.append(s2)
     return s2s
 """
@@ -294,7 +287,7 @@ def _variance_recursion(n_nodes: int):
     """One component's variance recursion over Python floats, generated for
     ``n_nodes`` live tanh nodes and cached.
 
-    ``loop(drive, s2, c0, w0, a0, b0, ..., alpha, one_eps)`` computes
+    ``loop(drive, s2, c0, w0, a0, b0, ..., one_eps)`` computes
     z_t = drive[t] + c0 * s2 + w0 * tanh(a0 * s2 + b0) + ..., adding the
     terms in that order: the previous variance s2 times its coefficient
     through the linear node, then each live tanh node reading it, with
@@ -322,7 +315,7 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
     """
     t_len = values.size
     n, k = config.n_components, config.k_hidden
-    alpha, one_eps = config.elu_alpha, 1.0 + config.elu_eps
+    one_eps = 1.0 + ELU_EPS
 
     inputs = lagged(0.0, values)
 
@@ -349,7 +342,7 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
                     if w != 0.0 or not (math.isfinite(a) and math.isfinite(b)) for x in (w, a, b)]
             sigma2[i] = _variance_recursion(len(live) // 3)(
                 drive[i].tolist(), float(init.sigma2_prev[i]), float(ws[i, 0] * in_w[0]),
-                *live, alpha, one_eps)
+                *live, one_eps)
         s2_prev = lagged(init.sigma2_prev, sigma2)
         inf = np.isinf(s2_prev)
         if inf.any():
@@ -451,5 +444,5 @@ def params_from_garch(garch_params, config: RmdnConfig) -> RmdnParams:
     p.mean_out_b[0] = garch_params.a0
     p.var_out_w[0, 0] = garch_params.alpha1
     p.var_out_w[0, k] = garch_params.beta1
-    p.var_out_b[0] = garch_params.alpha0 - 1.0 - config.elu_eps
+    p.var_out_b[0] = garch_params.alpha0 - 1.0 - ELU_EPS
     return p

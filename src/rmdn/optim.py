@@ -97,13 +97,14 @@ def classify_convergence(final_loglik: float) -> str:
 
 @dataclass
 class TrainReport:
-    """Outcome of one training run."""
+    """Outcome of one training run. ``epochs_completed`` is the schedule's
+    total unless the loss went non-finite, in which case it is the epoch
+    that produced that loss (the run stops there)."""
 
     loss_trace: list[float]
     final_params: RmdnParams
     final_loglik: float
     status: str
-    divergence_epoch: int | None
     epochs_completed: int
 
 
@@ -124,13 +125,13 @@ def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedul
     theta = flatten_params(params, config)
     state = AdamState.fresh(theta.size, schedule.learning_rate)
     trace: list[float] = []
-    divergence_epoch = None
+    epochs_completed = schedule.total_epochs
 
     for epoch in range(schedule.total_epochs):
         loss, grads = gradient(values, unflatten_params(theta, config), config, init)
         trace.append(float(loss))
         if not np.isfinite(loss):
-            divergence_epoch = epoch
+            epochs_completed = epoch
             break
         if epoch < schedule.pretrain_epochs and mask is not None:
             grads = apply_mask(grads, mask)
@@ -139,18 +140,15 @@ def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedul
             callback(epoch, theta.copy(), float(loss))
 
     final_params = unflatten_params(theta, config)
-    if divergence_epoch is None:
+    if epochs_completed == schedule.total_epochs:
         cache = forward_pass(values, final_params, config, init)
         final_loglik = -nll_arrays(values, cache.eta, cache.mu, cache.sigma2)
-        epochs_completed = schedule.total_epochs
     else:
         final_loglik = math.nan
-        epochs_completed = divergence_epoch
     return TrainReport(
         loss_trace=trace,
         final_params=final_params,
         final_loglik=float(final_loglik),
         status=classify_convergence(final_loglik),
-        divergence_epoch=divergence_epoch,
         epochs_completed=epochs_completed,
     )

@@ -222,3 +222,19 @@ class TestUsage:
     def test_unknown_command_exits_2(self):
         result = run_cli(["frobnicate"])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("flag", [["--alpha", "0.5"], ["--eps", "1e-5"]])
+    @pytest.mark.parametrize("command", ["fit", "benchmark", "gradcheck"])
+    def test_variance_unit_flags_are_usage_errors(self, command, flag, garch_csv, tmp_path,
+                                                  capsys):
+        """The variance unit is fixed; these runs would succeed without the flag."""
+        args = {"fit": ["fit", "--model", "rmdn", "--pretrain-epochs", "0", "--epochs", "1",
+                        str(garch_csv)],
+                "benchmark": ["benchmark", "--seeds", "1", "--pretrain-epochs", "0",
+                              "--epochs", "1", "--out", str(tmp_path / "report"),
+                              str(garch_csv)],
+                "gradcheck": ["gradcheck", "-T", "5"]}[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

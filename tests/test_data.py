@@ -5,8 +5,7 @@ import pytest
 from scipy import stats
 
 from rmdn.data import (ParseError, ReturnSeries, TwoRegimeSpec, load_csv,
-                       prices_to_log_returns, sample_seeds,
-                       simulate_mixture_process, write_csv)
+                       sample_seeds, simulate_mixture_process, write_csv)
 
 
 class TestReturnSeries:
@@ -105,34 +104,6 @@ class TestCsv:
         back = load_csv(path, label_column="date")
         np.testing.assert_array_equal(back.values, s.values)
         assert back.labels == s.labels
-
-
-class TestLogReturns:
-    def test_flat_price(self):
-        np.testing.assert_array_equal(prices_to_log_returns([100.0, 100.0]).values, [0.0])
-
-    def test_unit_log_step(self):
-        out = prices_to_log_returns([100.0, 100.0 * math.e])
-        assert out.values[0] == pytest.approx(1.0, rel=1e-15)
-
-    def test_inverse_transform_recovers_prices(self):
-        rng = np.random.default_rng(1)
-        prices = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.02, 100)))
-        returns = prices_to_log_returns(prices)
-        rebuilt = prices[0] * np.exp(np.cumsum(returns.values))
-        np.testing.assert_allclose(rebuilt, prices[1:], rtol=1e-12)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            prices_to_log_returns([100.0, -1.0])
-
-    def test_rejects_single_price(self):
-        with pytest.raises(ValueError):
-            prices_to_log_returns([100.0])
-
-    def test_labels_shift(self):
-        out = prices_to_log_returns([1.0, 2.0, 3.0], labels=["a", "b", "c"])
-        assert out.labels == ["b", "c"]
 
 
 class TestMixtureProcess:

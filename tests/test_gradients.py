@@ -72,6 +72,15 @@ def oracle_tanh_mask(n, k):
     ])
 
 
+def param_view(flat, cfg):
+    """A vector over the trainable entries, such as a gradient or a mask, in
+    parameter shape, with the pinned entries at 0."""
+    layout = param_layout(cfg.n_components, cfg.k_hidden)
+    full = np.zeros(layout.free.size)
+    full[layout.free] = flat
+    return RmdnParams(*layout.split(full))
+
+
 def random_params(n, k, seed):
     """Every entry drawn at random, pinned entries included."""
     rng = np.random.default_rng(seed)
@@ -97,16 +106,9 @@ class TestLayoutAgainstOracle:
         np.testing.assert_array_equal(nonlinear_node_mask(cfg), oracle_tanh_mask(n, k))
 
         theta = np.random.default_rng(n + 100 * k).normal(size=n_trainable(cfg))
-        for pinned, (w_fixed, b_fixed) in ((True, (1.0, 0.0)), (False, (0.0, 0.0))):
-            q = unflatten_params(theta, cfg, pinned=pinned)
-            np.testing.assert_array_equal(oracle_flatten(q, k), theta)
-            w, b = pinned_entries(q, k)
-            assert np.all(w == w_fixed) and np.all(b == b_fixed)
-
-        pinned_copy = p.copy()
-        pinned_copy.pin()
-        np.testing.assert_array_equal(oracle_flatten(pinned_copy, k), oracle_flatten(p, k))
-        w, b = pinned_entries(pinned_copy, k)
+        q = unflatten_params(theta, cfg)
+        np.testing.assert_array_equal(oracle_flatten(q, k), theta)
+        w, b = pinned_entries(q, k)
         assert np.all(w == 1.0) and np.all(b == 0.0)
 
     def test_cached_arrays_are_read_only(self):
@@ -143,7 +145,7 @@ class TestMask:
         cfg = RmdnConfig(n_components=2, k_hidden=3)
         mask = nonlinear_node_mask(cfg)
         # view the mask in parameter shape: pinned slots read as 0 (unmasked)
-        m = unflatten_params(mask.astype(float), cfg, pinned=False)
+        m = param_view(mask.astype(float), cfg)
         k = cfg.k_hidden
         assert np.all(m.mix_in_w[1:] == 1) and np.all(m.mix_in_b[1:] == 1)
         assert np.all(m.mix_out_w[:, 1:] == 1) and np.all(m.mix_out_w[:, 0] == 0)
@@ -172,7 +174,7 @@ class TestGradient:
         steps, _ = unroll([r], p, cfg, init)
         mu, s2 = float(steps[0].mu[0]), float(steps[0].sigma2[0])
         _, grads = gradient([r], p, cfg, init)
-        g = unflatten_params(grads, cfg, pinned=False)
+        g = param_view(grads, cfg)
         assert g.mean_out_b[0] == pytest.approx((mu - r) / s2, rel=1e-12)
         # variance output bias: d nll / d sigma2 * dpelu, with positive branch
         dl_ds2 = 0.5 / s2 * (1.0 - (r - mu) ** 2 / s2)
@@ -222,8 +224,8 @@ class TestGradient:
                          initial_state(series, cfg3))
         _, g1 = gradient(series, init_params(cfg1, 9, "pretrain"), cfg1,
                          initial_state(series, cfg1))
-        v3 = unflatten_params(g3, cfg3, pinned=False)
-        v1 = unflatten_params(g1, cfg1, pinned=False)
+        v3 = param_view(g3, cfg3)
+        v1 = param_view(g1, cfg1)
         for name, col in (("mix_out_w", 0), ("mean_out_w", 0)):
             np.testing.assert_allclose(
                 getattr(v3, name)[:, col], getattr(v1, name)[:, col], rtol=1e-11
@@ -323,8 +325,8 @@ def loop_variances(p, cfg, init, he):
     drive = p.var_out_w[:, :k] @ he + p.var_out_b[:, None]
     return np.array([time_major_reference.variance_recursion(
         drive[i].tolist(), float(init.sigma2_prev[i]), p.var_out_w[i, k:].tolist(),
-        p.var_in_w[k:].tolist(), p.var_in_b[k:].tolist(), cfg.elu_alpha,
-        1.0 + cfg.elu_eps)[1] for i in range(cfg.n_components)])
+        p.var_in_w[k:].tolist(), p.var_in_b[k:].tolist(), time_major_reference.ALPHA,
+        1.0 + time_major_reference.EPS)[1] for i in range(cfg.n_components)])
 
 
 def overflow_case():
@@ -411,7 +413,7 @@ class TestAgainstTimeMajorOracle:
         cache = forward_pass(values, p, cfg, init)
         assert np.array_equal(cache.sigma2, loop_variances(p, cfg, init, cache.he),
                               equal_nan=True)
-        positive = cache.sigma2 > 1.0 + cfg.elu_eps
+        positive = cache.sigma2 > 1.0 + time_major_reference.EPS
         assert np.isnan(cache.sigma2).all() or (positive.any() and not positive.all())
         for n_nodes in range(4):
             assert _variance_recursion(n_nodes) is _variance_recursion(n_nodes)

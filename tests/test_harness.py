@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,26 @@ from rmdn.harness import (ALL_METHODS, METHOD_GARCH, METHOD_PLAIN,
                           RunRecord, arm_setup, derive_run_seed, load_model,
                           render_report, run_benchmark, save_model)
 from rmdn.mixture import nll
-from rmdn.network import (RecurrentState, RmdnConfig, init_params,
-                          initial_state, unroll)
+from rmdn.network import (SCHEMES, RecurrentState, RmdnConfig, RmdnParams,
+                          init_params, initial_state, unroll)
 from rmdn.optim import CONVERGED, NOT_CONVERGED, TrainSchedule
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+DROP = object()
+
+
+def edit_entry(section, key, value):
+    """A model-file edit: set payload[section][key] to ``value``, or remove
+    the entry when ``value`` is DROP."""
+    def edit(payload):
+        if value is DROP:
+            del payload[section][key]
+        else:
+            payload[section][key] = value
+        return payload
+    return edit
 
 
 def tiny_benchmark(workers=1, meta_seed=5):
@@ -106,7 +121,7 @@ class TestRunBenchmark:
     def test_config_echo_names_every_setting(self):
         report = tiny_benchmark(meta_seed=5)
         assert report.config_echo == {
-            "n_components": 2, "k_hidden": 2, "elu_alpha": 1.0, "elu_eps": 1e-6,
+            "n_components": 2, "k_hidden": 2,
             "pretrain_epochs": 3, "train_epochs": 8, "learning_rate": 0.02,
             "meta_seed": 5, "seeds": sample_seeds(2, 0, 50000, meta_seed=5),
         }
@@ -169,6 +184,56 @@ class TestModelFiles:
         np.testing.assert_array_equal(state.sigma2_prev, self.state.sigma2_prev)
         assert state.e2_prev == self.state.e2_prev
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_round_trip_at_every_shape(self, n, k, tmp_path):
+        path = tmp_path / "model.json"
+        config = RmdnConfig(n_components=n, k_hidden=k)
+        rng = np.random.default_rng(10 * n + k)
+        for scheme in SCHEMES:
+            params = init_params(config, 10 * n + k, scheme)
+            state = RecurrentState(rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 3.0))
+            save_model(params, config, state, path)
+            loaded_params, loaded_config, loaded_state = load_model(path)
+            assert loaded_config == config
+            for f in fields(RmdnParams):
+                a, b = getattr(params, f.name), getattr(loaded_params, f.name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+            assert loaded_state.sigma2_prev.tobytes() == state.sigma2_prev.tobytes()
+            assert loaded_state.e2_prev.hex() == state.e2_prev.hex()
+            assert list(json.loads(path.read_text())["config"].items()) == [
+                ("n_components", n), ("k_hidden", k), ("elu_alpha", 1.0), ("elu_eps", 1e-06)]
+
+    @pytest.mark.parametrize("edit,field", [
+        pytest.param(edit_entry("config", "n_components", "2"), "config.n_components",
+                     id="n_components-str"),
+        pytest.param(edit_entry("config", "n_components", 2.5), "config.n_components",
+                     id="n_components-float"),
+        pytest.param(edit_entry("config", "n_components", True), "config.n_components",
+                     id="n_components-bool"),
+        pytest.param(edit_entry("config", "k_hidden", None), "config.k_hidden",
+                     id="k_hidden-null"),
+        pytest.param(lambda payload: [payload], "JSON object", id="top-level-array"),
+        pytest.param(edit_entry("state", "e2_prev", [1, 2]), "state.e2_prev",
+                     id="e2_prev-list"),
+        pytest.param(edit_entry("state", "e2_prev", "abc"), "state.e2_prev",
+                     id="e2_prev-str"),
+        pytest.param(edit_entry("params", "var_out_b", ["abc", 1.0]), "params.var_out_b",
+                     id="param-entry-str"),
+        pytest.param(edit_entry("config", "elu_alpha", 0.5), "config.elu_alpha",
+                     id="elu_alpha-other"),
+        pytest.param(edit_entry("config", "elu_eps", 1e-5), "config.elu_eps",
+                     id="elu_eps-other"),
+        pytest.param(edit_entry("config", "elu_eps", DROP), "config.elu_eps",
+                     id="elu_eps-missing"),
+    ])
+    def test_malformed_file_names_the_field(self, edit, field, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(self.params, self.config, self.state, path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ModelFileError, match=field):
+            load_model(path)
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(self.params, self.config, self.state, path)
@@ -208,9 +273,10 @@ class TestModelFiles:
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text("definitely: not json {")
-        with pytest.raises(ModelFileError, match="JSON"):
-            load_model(path)
+        for content in (b"definitely: not json {", b"\xff\xfe not UTF-8"):
+            path.write_bytes(content)
+            with pytest.raises(ModelFileError, match="JSON"):
+                load_model(path)
 
 
 class TestRender:
@@ -225,7 +291,7 @@ class TestRender:
         for i, ll in enumerate(logliks_plain):
             status = NOT_CONVERGED if math.isnan(ll) else CONVERGED
             records.append(RunRecord("demo", METHOD_PLAIN, i, ll, status, 5, 0.1))
-        echo = {"n_components": 2, "k_hidden": 3, "elu_alpha": 1.0, "elu_eps": 1e-6,
+        echo = {"n_components": 2, "k_hidden": 3,
                 "learning_rate": 0.01, "pretrain_epochs": 20, "train_epochs": 300,
                 "meta_seed": 0, "seeds": list(range(len(logliks_pre)))}
         return BenchmarkReport(records, echo)

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rmdn.garch import GarchParams, garch_filter, simulate_garch
 from rmdn.mixture import MixturePath, nll
-from rmdn.network import (RecurrentState, RmdnConfig, forward_pass,
+from rmdn.network import (ELU_EPS, RecurrentState, RmdnConfig, forward_pass,
                           init_params, initial_state, params_from_garch,
                           positive_elu, unroll)
 
@@ -64,9 +65,9 @@ def reference_forward(r_t, e2_prev, s2_prev, p, config):
             h = a if j == k else math.tanh(a)
             z += p.var_out_w[i, j] * h
         if z > 0:
-            sigma2.append(z + 1 + config.elu_eps)
+            sigma2.append(z + 1 + ELU_EPS)
         else:
-            sigma2.append(config.elu_alpha * (math.exp(z) - 1) + 1 + config.elu_eps)
+            sigma2.append((math.exp(z) - 1) + 1 + ELU_EPS)
     return np.array(eta), np.array(mu), np.array(sigma2)
 
 
@@ -104,10 +105,13 @@ class TestConfig:
         [
             dict(n_components=0),
             dict(k_hidden=0),
-            dict(elu_alpha=0.0),
-            dict(elu_alpha=1.5),
-            dict(elu_eps=0.0),
-            dict(elu_eps=1e-2),
+            dict(n_components=True),
+            dict(n_components=2.0),
+            dict(n_components="2"),
+            dict(n_components=np.int64(2)),
+            dict(k_hidden=True),
+            dict(k_hidden=3.0),
+            dict(k_hidden="3"),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -201,7 +205,7 @@ class TestMixingForward:
         cfg = RmdnConfig()
         p = init_params(cfg, 2, "plain")
         eta, _ = weights_and_means_after(0.5, p, cfg)
-        shifted = p.copy()
+        shifted = copy.deepcopy(p)
         shifted.mix_out_b += 17.0
         eta_shifted, _ = weights_and_means_after(0.5, shifted, cfg)
         np.testing.assert_allclose(eta_shifted, eta, rtol=1e-12)
@@ -242,7 +246,7 @@ class TestVarianceForward:
         p.var_out_w[0, k] = 0.5   # variance persistence
         p.var_out_b[0] = 3.0
         state = RecurrentState([1.5], 2.0)
-        expected = 0.2 * 2.0 + 0.5 * 1.5 + 3.0 + 1.0 + cfg.elu_eps
+        expected = 0.2 * 2.0 + 0.5 * 1.5 + 3.0 + 1.0 + ELU_EPS
         assert variances_after(state, p, cfg)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_all_zero_weights_give_one_plus_eps(self):
@@ -251,7 +255,7 @@ class TestVarianceForward:
         p.var_out_w[:] = 0.0
         p.var_out_b[:] = 0.0
         out = variances_after(RecurrentState(np.ones(2), 1.0), p, cfg)
-        np.testing.assert_allclose(out, 1.0 + cfg.elu_eps, rtol=1e-15)
+        np.testing.assert_allclose(out, 1.0 + ELU_EPS, rtol=1e-15)
 
     def test_always_positive(self):
         rng = np.random.default_rng(10)
@@ -328,7 +332,7 @@ class TestUnroll:
         steps, _ = unroll(series, p, cfg, init)
 
         perm = np.array([2, 0, 1])
-        q = p.copy()
+        q = copy.deepcopy(p)
         q.mix_out_w = p.mix_out_w[perm]
         q.mix_out_b = p.mix_out_b[perm]
         q.mean_out_w = p.mean_out_w[perm]
@@ -400,7 +404,7 @@ def variance_models(draw):
     p = init_params(cfg, seed, "plain")
     p.var_in_w[:] = rng.uniform(-1.0, 1.0, 2 * k)
     p.var_in_b[:] = rng.uniform(-1.0, 1.0, 2 * k)
-    p.pin()
+    p.var_in_w[[0, k]], p.var_in_b[[0, k]] = 1.0, 0.0  # the pinned linear nodes
     p.var_out_w[:] = rng.uniform(-0.5, 0.5, (n, 2 * k))
     p.var_out_w[:, [0, k]] = rng.uniform(0.0, 1.0, (n, 2))
     p.var_out_b[:] = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))

@@ -166,7 +166,6 @@ class TestTrain:
         p.var_out_w[0, :] = 1e200  # overflow on the first forward pass
         rep = train(series, p, cfg, TrainSchedule(0, 10, 0.01))
         assert rep.status == NOT_CONVERGED
-        assert rep.divergence_epoch == 0
         assert rep.epochs_completed == 0
         assert len(rep.loss_trace) == 1
         assert math.isnan(rep.final_loglik)

@@ -20,6 +20,9 @@ from rmdn.gradients import flatten_params, n_trainable
 from rmdn.mixture import LOG_2PI
 from rmdn.network import RmdnParams
 
+# the variance unit pelu(z) = elu(z, ALPHA) + 1 + EPS, written out here
+ALPHA, EPS = 1.0, 1e-6
+
 
 def variance_recursion(drive, s2, out_w, in_w, in_b, alpha, one_eps):
     """One component's variance recursion over Python floats: pre-activations
@@ -77,7 +80,7 @@ def forward_pass(values, params, config, init):
     (T, N, K)."""
     t_len = values.size
     n, k = config.n_components, config.k_hidden
-    alpha, one_eps = config.elu_alpha, 1.0 + config.elu_eps
+    alpha, one_eps = ALPHA, 1.0 + EPS
     inputs = lag_rows(0.0, values)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hm = hidden_rows(inputs, params.mix_in_w, params.mix_in_b)
