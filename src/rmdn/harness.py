@@ -224,7 +224,7 @@ def load_model(path) -> tuple[RmdnParams, RmdnConfig, RecurrentState]:
         raise ModelFileError(f"{path}: a model file is a JSON object")
 
     version = payload.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
+    if isinstance(version, bool) or version != MODEL_SCHEMA_VERSION:  # True == 1
         raise ModelFileError(
             f"{path}: unsupported schema_version {version!r} (expected {MODEL_SCHEMA_VERSION})"
         )
@@ -253,10 +253,15 @@ def load_model(path) -> tuple[RmdnParams, RmdnConfig, RecurrentState]:
     for key in ("sigma2_prev", "e2_prev"):
         if key not in st:
             raise ModelFileError(f"{path}: missing field state.{key}")
-    state = RecurrentState(
-        _float_array(path, "state.sigma2_prev", st["sigma2_prev"], (config.n_components,)),
-        _float_array(path, "state.e2_prev", st["e2_prev"], ()))
-    return params, config, state
+    sigma2_prev = _float_array(path, "state.sigma2_prev", st["sigma2_prev"],
+                               (config.n_components,))
+    e2_prev = _float_array(path, "state.e2_prev", st["e2_prev"], ())
+    # NaN is data (a diverged model's state), so only a number out of range is refused
+    if np.any(sigma2_prev <= 0):
+        raise ModelFileError(f"{path}: state.sigma2_prev must hold positive variances")
+    if e2_prev < 0:
+        raise ModelFileError(f"{path}: state.e2_prev must not be negative")
+    return params, config, RecurrentState(sigma2_prev, e2_prev)
 
 
 def _fmt_avg(value: float | None) -> str:

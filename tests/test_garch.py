@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -258,3 +261,22 @@ class TestSimulate:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             simulate_garch(GarchParams(0, 0, 0.1, 0.1, 0.8), 0, seed=0)
+
+
+def test_scipy_optimizer_and_filter_load_on_first_use():
+    # a fresh process: this one has long since imported everything
+    code = textwrap.dedent("""
+        import sys
+        import rmdn, rmdn.cli
+        lazy = ("scipy.optimize", "scipy.signal")
+        assert not any(m in sys.modules for m in lazy), sorted(sys.modules)
+        from rmdn import GarchParams, fit_garch, garch_filter, simulate_garch
+        true = GarchParams(0.0, 0.0, 0.05, 0.1, 0.85)
+        series = simulate_garch(true, 300, seed=7)
+        mu, sigma2 = garch_filter(series, true)
+        assert "scipy.signal" in sys.modules and sigma2.shape == (300,)
+        params, loglik = fit_garch(series)
+        assert "scipy.optimize" in sys.modules and loglik < 0
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -184,6 +184,14 @@ class TestModelFiles:
         np.testing.assert_array_equal(state.sigma2_prev, self.state.sigma2_prev)
         assert state.e2_prev == self.state.e2_prev
 
+    def test_diverged_state_loads(self, tmp_path):
+        # NaN is data: the state a diverged run saves reads back as it was
+        path = tmp_path / "model.json"
+        save_model(self.params, self.config, RecurrentState([np.nan, 2.5], np.nan), path)
+        _, _, state = load_model(path)
+        np.testing.assert_array_equal(state.sigma2_prev, [np.nan, 2.5])
+        assert np.isnan(state.e2_prev)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_round_trip_at_every_shape(self, n, k, tmp_path):
@@ -226,6 +234,14 @@ class TestModelFiles:
                      id="elu_eps-other"),
         pytest.param(edit_entry("config", "elu_eps", DROP), "config.elu_eps",
                      id="elu_eps-missing"),
+        pytest.param(lambda payload: {**payload, "schema_version": True}, "schema_version",
+                     id="schema_version-bool"),
+        pytest.param(edit_entry("state", "sigma2_prev", [1.0, 0.0]), "state.sigma2_prev",
+                     id="sigma2_prev-zero"),
+        pytest.param(edit_entry("state", "sigma2_prev", [-1.0, 1.0]), "state.sigma2_prev",
+                     id="sigma2_prev-negative"),
+        pytest.param(edit_entry("state", "e2_prev", -0.5), "state.e2_prev",
+                     id="e2_prev-negative"),
     ])
     def test_malformed_file_names_the_field(self, edit, field, tmp_path):
         path = tmp_path / "model.json"
