@@ -17,7 +17,7 @@ from .garch import GarchFitError, GarchParams, fit_garch, simulate_garch
 from .gradients import finite_diff_check
 from .harness import (METHOD_PLAIN, METHOD_PRETRAINED, ModelFileError, arm_setup,
                       render_report, run_benchmark, save_garch_model, save_model)
-from .network import RmdnConfig, forward_pass, init_params, initial_state
+from .network import RmdnConfig, init_params, initial_state, unroll
 from .optim import TrainSchedule, classify_convergence, train
 
 
@@ -166,8 +166,8 @@ def _cmd_fit(args) -> int:
         f"status={report.status} epochs={report.epochs_completed}"
     )
     if args.save:
-        final_state = forward_pass(series.values, report.final_params, config,
-                                   initial_state(series, config)).final_state
+        _, final_state = unroll(series, report.final_params, config,
+                                initial_state(series, config))
         save_model(report.final_params, config, final_state, args.save)
         print(f"model written to {args.save}")
     return 0

@@ -39,9 +39,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .mixture import _as_values, log_joint, nll_arrays
+from .mixture import _as_values, log_joint, nll
 from .network import (ELU_EPS, RecurrentState, RmdnConfig, RmdnParams,
-                      _hidden_batch, forward_pass, param_layout)
+                      _hidden_batch, forward_pass, param_layout, unroll)
 
 # finite_diff_check's step h, and how often it halves h where a bump crosses the kink
 _FD_STEP = 1e-5
@@ -147,19 +147,23 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
 
     # carry[i, t] = d z_{i,t} / d s2_prev_{i,t}, the only recurrent path
     ws_iw = (ws * params.var_in_w[k:]).T     # (K, N)
-    carry = ws_iw[0, :, None] + np.sum(dtanh_s * ws_iw[1:, :, None], axis=0)
+    carry = ws_iw[0, :, None] + (dtanh_s * ws_iw[1:, :, None]).sum(axis=0)
     # gz_t = dpelu_t * (dl_ds2_t + carry_{t+1} * gz_{t+1}) = b_t + a_t * gz_{t+1}
-    # is linear in gz: a doubling scan solves it in ceil(log2 T) passes. A variance
-    # that overflowed meets a zero or huge adjoint here and in g_var: the NaN or
-    # inf it gives is the divergence signal, so it must not warn
+    # is linear in gz: a doubling scan solves it in ceil(log2 T) passes. It runs
+    # over the components' rows end to end, since a_{T-1} = 0 cuts each chain
+    # where its row ends. A variance that overflowed meets a zero or huge adjoint
+    # here and in g_var: the NaN or inf it gives is the divergence signal, so it
+    # must not warn
     gz = dpelu * dl_ds2                      # d loss / d z, per component
     a = np.zeros_like(gz)
     a[:, :-1] = dpelu[:, :-1] * carry[:, 1:]
+    gz_flat, a_flat = gz.reshape(-1), a.reshape(-1)
     s = 1
     with np.errstate(invalid="ignore", over="ignore"):
         while s < t_len:
-            gz[:, :-s] += a[:, :-s] * gz[:, s:]
-            a[:, :-s] *= a[:, s:]
+            gz_flat[:-s] += a_flat[:-s] * gz_flat[s:]
+            if 2 * s < t_len:                # the last pass reads no product
+                a_flat[:-s] *= a_flat[s:]
             s *= 2
 
     # the squared-residual path does not recur: e2_prev[t+1] only feeds z[t+1]
@@ -174,18 +178,20 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     with np.errstate(invalid="ignore", over="ignore"):
         g_var = (np.concatenate([ge_in_w, ghs.reshape(k, -1) @ cache.s2_prev.ravel()]),
                  np.concatenate([ge_in_b, ghs.sum(axis=(1, 2))]),
-                 np.hstack([ge_out_w, np.sum(hs * gz, axis=2).T]),
+                 np.concatenate([ge_out_w, (hs * gz).sum(axis=2).T], axis=1),
                  g_var_out_b)
 
     # loss -> logits directly (eta - p), plus the residual path through mubar
     geta_path = gmu_bar * cache.mu
     glogit = (cache.eta - p_post) + cache.eta * (
-        geta_path - np.sum(cache.eta * geta_path, axis=0))
+        geta_path - (cache.eta * geta_path).sum(axis=0))
     g_mix, _ = _hidden_backward(glogit, cache.hm, cache.inputs, params.mix_out_w)
     gmu_tot = dl_dmu + gmu_bar * cache.eta
     g_mean, _ = _hidden_backward(gmu_tot, cache.hmu, cache.inputs, params.mean_out_w)
 
-    return loss, flatten_params(RmdnParams(*g_mix, *g_mean, *g_var), config)
+    # in RmdnParams field order, as flatten_params lays them out
+    full = np.concatenate([g.ravel() for g in (*g_mix, *g_mean, *g_var)])
+    return loss, full[param_layout(config.n_components, k).free]
 
 
 @dataclass
@@ -232,8 +238,8 @@ def finite_diff_check(series, params: RmdnParams, config: RmdnConfig,
     def nll_and_branches(i, offset):
         bumped = theta.copy()
         bumped[i] += offset
-        cache = forward_pass(values, unflatten_params(bumped, config), config, init)
-        return nll_arrays(values, cache.eta, cache.mu, cache.sigma2), cache.sigma2 > one_eps
+        path, _ = unroll(values, unflatten_params(bumped, config), config, init)
+        return nll(values, path), path.sigma2 > one_eps
 
     branches = nll_and_branches(0, 0.0)[1]
 

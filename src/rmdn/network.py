@@ -27,12 +27,17 @@ that at once and loops only over N independent scalar variance recursions.
 Their steps fold the pinned linear node into one coefficient and skip tanh
 nodes with output weight 0 (all of them under ``pretrain`` init); the loop
 body is generated once per count of live tanh nodes, with those nodes
-spelled out, and records only the variances. The forward pass keeps the
-s2-independent part of each pre-activation (``drive``); the arrays only
-the gradient reads are rebuilt there. Its per-component arrays are
-component-major, (N, T), and its hidden activations (K, T), so every sum,
-maximum or softmax over components is an elementwise operation over
-contiguous rows of length T.
+spelled out, and yields only the variances.
+
+Two passes run the same stages. ``forward_pass`` is the gradient's tape: it
+keeps every intermediate the backward pass reads, among them the
+s2-independent part of each pre-activation (``drive``), from which the
+gradient rebuilds the rest. ``unroll`` is the scoring pass: it keeps only
+the mixture and the final recurrent state, and drops each intermediate once
+the next stage has read it. The per-component arrays are component-major,
+(N, T), and the hidden activations (K, T), so every sum, maximum or softmax
+over components is an elementwise operation over contiguous rows of length
+T.
 
 With a single component and all tanh weights at zero the model collapses to
 an AR(1) conditional mean and, whenever the variance pre-activation is
@@ -249,12 +254,14 @@ def initial_state(series, config: RmdnConfig) -> RecurrentState:
 
 
 class ForwardCache(NamedTuple):
-    """What one unrolled forward pass computes on the way to the variances.
+    """The gradient's tape: what one forward pass computes on the way to the
+    variances, kept for the backward pass.
 
     Time is the last axis of every array: column t belongs to step t. The
     arrays only the backward pass reads, the hidden nodes reading s2_prev
     and the output unit's derivative, are not here: ``gradient`` rebuilds
-    them from ``drive`` and ``s2_prev``, so scoring does not pay for them.
+    them from ``drive`` and ``s2_prev``. Scoring keeps none of it:
+    ``unroll`` runs the same stages and keeps only the mixture.
     """
 
     inputs: np.ndarray    # (T,)  lag-1 inputs, inputs[0] = 0
@@ -268,17 +275,14 @@ class ForwardCache(NamedTuple):
     e2_prev: np.ndarray   # (T,)  squared residual fed at each step
     s2_prev: np.ndarray   # (N, T)  variances fed at each step
     resid: np.ndarray     # (T,)  r_t - mu_bar_t
-    final_state: RecurrentState
 
 
 _LOOP = """def loop(drive, s2, c0, {args}one_eps):
-    s2s = []
     for d in drive:
         z = d + c0 * s2{terms}
         # NaN compares false and takes the saturating branch, where it stays NaN
         s2 = (z if z > 0.0 else expm1(z)) + one_eps
-        s2s.append(s2)
-    return s2s
+        yield s2
 """
 
 
@@ -291,7 +295,7 @@ def _variance_recursion(n_nodes: int):
     z_t = drive[t] + c0 * s2 + w0 * tanh(a0 * s2 + b0) + ..., adding the
     terms in that order: the previous variance s2 times its coefficient
     through the linear node, then each live tanh node reading it, with
-    ``drive`` for the rest. It returns the variances pelu(z_t).
+    ``drive`` for the rest. It yields the variances pelu(z_t).
     """
     args = "".join(f"w{j}, a{j}, b{j}, " for j in range(n_nodes))
     terms = "".join(f" + w{j} * tanh(a{j} * s2 + b{j})" for j in range(n_nodes))
@@ -300,74 +304,115 @@ def _variance_recursion(n_nodes: int):
     return namespace["loop"]
 
 
+# The stages of a forward pass. Each returns what the backward pass reads
+# ahead of its output, so that ``unroll`` can drop it at once. They run with
+# floating-point warnings off: non-finite values propagate as data.
+
+def _mixing(inputs: np.ndarray, params: RmdnParams) -> tuple[np.ndarray, np.ndarray]:
+    """Mixing hidden activations (K, T) and mixture weights eta (N, T)."""
+    hm = _hidden_batch(inputs, params.mix_in_w, params.mix_in_b)
+    return hm, _softmax(params.mix_out_w @ hm + params.mix_out_b[:, None])
+
+
+def _means(inputs: np.ndarray, params: RmdnParams) -> tuple[np.ndarray, np.ndarray]:
+    """Mean hidden activations (K, T) and component means mu (N, T)."""
+    hmu = _hidden_batch(inputs, params.mean_in_w, params.mean_in_b)
+    return hmu, params.mean_out_w @ hmu + params.mean_out_b[:, None]
+
+
+def _residuals(values: np.ndarray, eta: np.ndarray, mu: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals r_t - mu_bar_t and their squares e2_t, both (T,)."""
+    resid = values - (eta * mu).sum(axis=0)
+    return resid, resid * resid
+
+
+def _variance_drive(e2: np.ndarray, e2_0: float, params: RmdnParams
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The squared residual fed at each step (T,), the variance hidden nodes
+    reading it (K, T) and ``drive`` (N, T), the pre-activation's terms that
+    do not read the previous variance."""
+    k = params.k_hidden
+    e2_prev = lagged(e2_0, e2)
+    he = _hidden_batch(e2_prev, params.var_in_w[:k], params.var_in_b[:k])
+    # the linear node reading s2 folds in: at the pinned a0 = 1, b0 = 0,
+    # w0 * (a0 * s2 + b0) is bit for bit w0 * b0, here, plus (w0 * a0) * s2,
+    # which ``_variances`` adds
+    bias = params.var_out_b + params.var_out_w[:, k] * params.var_in_b[k]
+    return e2_prev, he, params.var_out_w[:, :k] @ he + bias[:, None]
+
+
+def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray) -> np.ndarray:
+    """The N scalar variance recursions (N, T), each run over Python floats
+    by the loop ``_variance_recursion`` generates for its count of live tanh
+    nodes, from the presample variances ``s2_0``."""
+    n, t_len = drive.shape
+    k = params.k_hidden
+    one_eps = 1.0 + ELU_EPS
+    ws, in_w, in_b = params.var_out_w[:, k:], params.var_in_w[k:], params.var_in_b[k:]
+    sigma2 = np.empty_like(drive)
+    in_w1, in_b1 = in_w[1:].tolist(), in_b[1:].tolist()
+    for i in range(n):
+        # a tanh node with output weight 0 and finite inputs adds +-0 to z ...
+        live = [x for w, a, b in zip(ws[i, 1:].tolist(), in_w1, in_b1)
+                if w != 0.0 or not (math.isfinite(a) and math.isfinite(b)) for x in (w, a, b)]
+        loop = _variance_recursion(len(live) // 3)
+        sigma2[i] = np.fromiter(loop(memoryview(drive[i]), float(s2_0[i]),
+                                     float(ws[i, 0] * in_w[0]), *live, one_eps), float, t_len)
+    inf = lagged(np.isinf(s2_0), np.isinf(sigma2))  # where s2_prev is inf
+    if inf.any():
+        # ... but 0 * inf is NaN if its input weight is 0 and s2 inf, and NaN recurs
+        lost = (np.any((ws[:, 1:] == 0.0) & (in_w[1:] == 0.0), axis=1)[:, None]
+                & np.logical_or.accumulate(inf, axis=1))
+        sigma2[lost] = np.nan
+    return sigma2
+
+
 def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
                  init: RecurrentState) -> ForwardCache:
-    """Unroll the model over the whole series.
+    """Unroll the model over the whole series and keep the gradient's tape.
 
     Only each component's own variance recurs. The mixing and mean networks
     read lagged returns alone, so the mixture means, the residuals, the
     squared residuals fed to the variance network and that network's whole
     e2 side are evaluated for all steps at once. What is left is N
-    independent scalar recursions, one per component, run over Python
-    floats by the loop ``_variance_recursion`` generates for its count of
-    live tanh nodes. Non-finite values propagate (divergence is observable
-    data). See ``ForwardCache`` for the shapes.
+    independent scalar recursions, one per component. Non-finite values
+    propagate (divergence is observable data). See ``ForwardCache`` for the
+    shapes; ``unroll`` runs the same stages for scoring.
     """
-    t_len = values.size
-    n, k = config.n_components, config.k_hidden
-    one_eps = 1.0 + ELU_EPS
-
     inputs = lagged(0.0, values)
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hm = _hidden_batch(inputs, params.mix_in_w, params.mix_in_b)
-        eta = _softmax(params.mix_out_w @ hm + params.mix_out_b[:, None])
-        hmu = _hidden_batch(inputs, params.mean_in_w, params.mean_in_b)
-        mu = params.mean_out_w @ hmu + params.mean_out_b[:, None]
-
-        resid = values - np.sum(eta * mu, axis=0)
-        e2 = resid * resid
-        e2_prev = lagged(init.e2_prev, e2)
-        he = _hidden_batch(e2_prev, params.var_in_w[:k], params.var_in_b[:k])
-        # the linear node reading s2 folds in: at the pinned a0 = 1, b0 = 0,
-        # w0 * (a0 * s2 + b0) is bit for bit w0 * b0, in drive, plus (w0 * a0) * s2
-        ws, in_w, in_b = params.var_out_w[:, k:], params.var_in_w[k:], params.var_in_b[k:]
-        drive = params.var_out_w[:, :k] @ he + (params.var_out_b + ws[:, 0] * in_b[0])[:, None]
-
-        sigma2 = np.empty((n, t_len))
-        in_w1, in_b1 = in_w[1:].tolist(), in_b[1:].tolist()
-        for i in range(n):
-            # a tanh node with output weight 0 and finite inputs adds +-0 to z ...
-            live = [x for w, a, b in zip(ws[i, 1:].tolist(), in_w1, in_b1)
-                    if w != 0.0 or not (math.isfinite(a) and math.isfinite(b)) for x in (w, a, b)]
-            sigma2[i] = _variance_recursion(len(live) // 3)(
-                drive[i].tolist(), float(init.sigma2_prev[i]), float(ws[i, 0] * in_w[0]),
-                *live, one_eps)
-        s2_prev = lagged(init.sigma2_prev, sigma2)
-        inf = np.isinf(s2_prev)
-        if inf.any():
-            # ... but 0 * inf is NaN if its input weight is 0 and s2 inf, and NaN recurs
-            lost = (np.any((ws[:, 1:] == 0.0) & (in_w[1:] == 0.0), axis=1)[:, None]
-                    & np.logical_or.accumulate(inf, axis=1))
-            sigma2[lost] = np.nan
-            s2_prev = lagged(init.sigma2_prev, sigma2)
-
-    final = RecurrentState(sigma2[:, -1].copy(), e2[-1])
+        hm, eta = _mixing(inputs, params)
+        hmu, mu = _means(inputs, params)
+        resid, e2 = _residuals(values, eta, mu)
+        e2_prev, he, drive = _variance_drive(e2, init.e2_prev, params)
+        sigma2 = _variances(drive, params, init.sigma2_prev)
     return ForwardCache(inputs, hm, eta, hmu, mu, he, drive, sigma2,
-                        e2_prev, s2_prev, resid, final)
+                        e2_prev, lagged(init.sigma2_prev, sigma2), resid)
 
 
 def unroll(series, params: RmdnParams, config: RmdnConfig,
            init: RecurrentState) -> tuple[MixturePath, RecurrentState]:
     """Run the model over a series; step t is the conditional mixture for r_t.
 
-    Returns the MixturePath over (T, N) views of ``forward_pass``'s (N, T)
-    arrays plus the final recurrent state. Steps that picked up NaN/inf are
-    flagged via ``MixtureStep.valid`` rather than raising, so the likelihood
-    can propagate the divergence.
+    The scoring pass: it runs ``forward_pass``'s stages, with the same
+    values bit for bit, and drops each array only the gradient reads once
+    the next stage has read it. Returns the MixturePath over (T, N) views
+    of the (N, T) mixture arrays plus the final recurrent state. Steps that
+    picked up NaN/inf are flagged via ``MixtureStep.valid`` rather than
+    raising, so the likelihood can propagate the divergence.
     """
-    cache = forward_pass(_as_values(series), params, config, init)
-    return MixturePath(cache.eta.T, cache.mu.T, cache.sigma2.T), cache.final_state
+    values = _as_values(series)
+    inputs = lagged(0.0, values)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eta = _mixing(inputs, params)[1]
+        mu = _means(inputs, params)[1]
+        del inputs
+        e2 = _residuals(values, eta, mu)[1]
+        sigma2 = _variances(_variance_drive(e2, init.e2_prev, params)[2], params,
+                            init.sigma2_prev)
+    return (MixturePath(eta.T, mu.T, sigma2.T),
+            RecurrentState(sigma2[:, -1].copy(), e2[-1]))
 
 
 def _zeros_params(config: RmdnConfig) -> RmdnParams:

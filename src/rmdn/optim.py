@@ -22,7 +22,9 @@ import numpy as np
 
 from .gradients import apply_mask, flatten_params, gradient, unflatten_params
 from .mixture import nll_arrays, _as_values
-from .network import RmdnConfig, RmdnParams, forward_pass, initial_state
+# forward_pass is not called here; the name stays bound because
+# perfbench/tracing.py wraps rmdn.optim.forward_pass
+from .network import RmdnConfig, RmdnParams, forward_pass, initial_state, unroll  # noqa: F401
 
 CONVERGED = "Converged"
 NOT_CONVERGED = "NotConverged"
@@ -141,8 +143,8 @@ def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedul
 
     final_params = unflatten_params(theta, config)
     if epochs_completed == schedule.total_epochs:
-        cache = forward_pass(values, final_params, config, init)
-        final_loglik = -nll_arrays(values, cache.eta, cache.mu, cache.sigma2)
+        path, _ = unroll(values, final_params, config, init)
+        final_loglik = -nll_arrays(values, path.eta.T, path.mu.T, path.sigma2.T)
     else:
         final_loglik = math.nan
     return TrainReport(

@@ -309,9 +309,11 @@ class TestGradientProperties:
             warnings.simplefilter("always")
             init = initial_state(values, cfg)
             cache = forward_pass(values, p, cfg, init)
+            path, _ = unroll(values, p, cfg, init)
             loss, grads = gradient(values, p, cfg, init)
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert cache.sigma2.shape == (n, 30) and grads.shape == (n_trainable(cfg),)
+        assert np.array_equal(path.sigma2.T, cache.sigma2, equal_nan=True)
         if nan_at is not None:
             assert math.isnan(loss) and np.all(np.isnan(grads))
 

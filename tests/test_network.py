@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rmdn.garch import GarchParams, garch_filter, simulate_garch
 from rmdn.mixture import MixturePath, nll
@@ -13,6 +13,7 @@ from rmdn.network import (ELU_EPS, RecurrentState, RmdnConfig, forward_pass,
                           positive_elu, unroll)
 
 import time_major_reference
+from test_gradients import overflow_case
 
 PROBE = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)
 
@@ -269,6 +270,28 @@ class TestVarianceForward:
             assert np.all(out > 0)
 
 
+@st.composite
+def variance_models(draw):
+    """A random N, K in 1..4 model whose variance unit visits both pelu
+    branches over a short series. The squared-residual and own-variance
+    loadings are non-negative and the tanh-node output weights small, which
+    keeps pre-activations above about -6, where the oracle's exp(z) - 1 still
+    agrees with expm1 to 1e-12 relative."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 50000))
+    cfg = RmdnConfig(n_components=n, k_hidden=k)
+    rng = np.random.default_rng(seed)
+    p = init_params(cfg, seed, "plain")
+    p.var_in_w[:] = rng.uniform(-1.0, 1.0, 2 * k)
+    p.var_in_b[:] = rng.uniform(-1.0, 1.0, 2 * k)
+    p.var_in_w[[0, k]], p.var_in_b[[0, k]] = 1.0, 0.0  # the pinned linear nodes
+    p.var_out_w[:] = rng.uniform(-0.5, 0.5, (n, 2 * k))
+    p.var_out_w[:, [0, k]] = rng.uniform(0.0, 1.0, (n, 2))
+    p.var_out_b[:] = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    series = simulate_garch(PROBE, draw(st.integers(2, 40)), seed=seed)
+    return series.values, p, cfg
+
+
 class TestUnroll:
     def test_single_step_uses_initial_state(self):
         cfg = RmdnConfig(n_components=1, k_hidden=1)
@@ -360,23 +383,31 @@ class TestUnroll:
             assert np.array_equal(sa.mu, sb.mu)
             assert np.array_equal(sa.sigma2, sb.sigma2)
 
-    def test_path_holds_forward_pass_rows(self):
-        """The (T, N) path is a transposed view of the (N, T) cache."""
-        series = simulate_garch(PROBE, 25, seed=4)
-        cfg = RmdnConfig(n_components=3, k_hidden=2)
-        p = init_params(cfg, 15, "plain")
-        init = initial_state(series, cfg)
-        steps, final = unroll(series, p, cfg, init)
-        cache = forward_pass(series.values, p, cfg, init)
-        assert isinstance(steps, MixturePath) and len(steps) == 25
-        for t in (0, 11, 24, -1, -25):
-            assert np.array_equal(steps[t].eta, cache.eta[:, t])
-            assert np.array_equal(steps[t].mu, cache.mu[:, t])
-            assert np.array_equal(steps[t].sigma2, cache.sigma2[:, t])
+    @given(variance_models())
+    @example(overflow_case())
+    @settings(deadline=None, max_examples=60)
+    def test_path_holds_forward_pass_rows(self, model):
+        """The scoring pass gives forward_pass's mixture and the final state
+        of its last step, bit for bit, NaN and inf included, and warns of no
+        overflow; its (T, N) path is a transposed view of the (N, T) rows."""
+        values, p, cfg = model
+        init = initial_state(values, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps, final = unroll(values, p, cfg, init)
+            cache = forward_pass(values, p, cfg, init)
+        t_len = values.size
+        assert isinstance(steps, MixturePath) and len(steps) == t_len
+        for name in ("eta", "mu", "sigma2"):
+            assert np.array_equal(getattr(steps, name).T, getattr(cache, name), equal_nan=True)
+        for t in (0, t_len // 2, -1, -t_len):
+            assert np.array_equal(steps[t].sigma2, cache.sigma2[:, t], equal_nan=True)
         rows = list(steps)
-        assert len(rows) == 25
-        assert all(np.array_equal(s.sigma2, row) for s, row in zip(rows, cache.sigma2.T))
-        np.testing.assert_array_equal(final.sigma2_prev, cache.final_state.sigma2_prev)
+        assert len(rows) == t_len
+        assert all(np.array_equal(s.mu, row) for s, row in zip(rows, cache.mu.T))
+        assert np.array_equal(final.sigma2_prev, cache.sigma2[:, -1], equal_nan=True)
+        e2_last = cache.resid[-1] * cache.resid[-1]
+        assert np.array_equal(final.e2_prev, e2_last, equal_nan=True)
 
     def test_divergence_flagged_not_raised(self):
         cfg = RmdnConfig(n_components=1, k_hidden=1)
@@ -388,28 +419,6 @@ class TestUnroll:
         assert not steps[-1].valid
         flags = [s.valid for s in steps]
         assert flags[0] and flags == list(np.all(np.isfinite(steps.sigma2), axis=1))
-
-
-@st.composite
-def variance_models(draw):
-    """A random N, K in 1..4 model whose variance unit visits both pelu
-    branches over a short series. The squared-residual and own-variance
-    loadings are non-negative and the tanh-node output weights small, which
-    keeps pre-activations above about -6, where the oracle's exp(z) - 1 still
-    agrees with expm1 to 1e-12 relative."""
-    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    seed = draw(st.integers(0, 50000))
-    cfg = RmdnConfig(n_components=n, k_hidden=k)
-    rng = np.random.default_rng(seed)
-    p = init_params(cfg, seed, "plain")
-    p.var_in_w[:] = rng.uniform(-1.0, 1.0, 2 * k)
-    p.var_in_b[:] = rng.uniform(-1.0, 1.0, 2 * k)
-    p.var_in_w[[0, k]], p.var_in_b[[0, k]] = 1.0, 0.0  # the pinned linear nodes
-    p.var_out_w[:] = rng.uniform(-0.5, 0.5, (n, 2 * k))
-    p.var_out_w[:, [0, k]] = rng.uniform(0.0, 1.0, (n, 2))
-    p.var_out_b[:] = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
-    series = simulate_garch(PROBE, draw(st.integers(2, 40)), seed=seed)
-    return series.values, p, cfg
 
 
 class TestForwardPassProperties:
@@ -434,8 +443,9 @@ class TestForwardPassProperties:
             e2 = (r - float(eta_ref @ mu_ref)) ** 2
             s2 = cache.sigma2[:, t]
             r_prev = r
-        np.testing.assert_array_equal(cache.final_state.sigma2_prev, cache.sigma2[:, -1])
-        assert cache.final_state.e2_prev == pytest.approx(e2, rel=1e-12, abs=1e-14)
+        _, final = unroll(values, p, cfg, init)
+        np.testing.assert_array_equal(final.sigma2_prev, cache.sigma2[:, -1])
+        assert final.e2_prev == pytest.approx(e2, rel=1e-12, abs=1e-14)
 
 
 class TestInitialState:
