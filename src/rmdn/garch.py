@@ -20,10 +20,9 @@ unconstrained theta = (a0 / sqrt(e2_0), a1, log alpha0, logit p, logit s) with
 units of sqrt(e2_0) keeps the fit independent of the scale of the series.
 The gradient is the exact adjoint of the variance recursion.
 
-Only this baseline needs scipy's optimizer and signal filter, so they are
-imported on first use, in ``fit_garch`` and ``_recursion`` and
-``_nll_grad_unconstrained``: importing ``rmdn`` and running the network alone
-never loads them.
+Only this baseline needs scipy, so every scipy module is imported on first
+use, in the functions that call it: importing ``rmdn``, training and scoring
+the network and checking its gradient never load scipy.
 """
 
 from __future__ import annotations
@@ -32,14 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.special stays a module-level import although it could be deferred
-# too. With no scipy import at all, one 320-epoch training run at T=1000 took
-# 25-27k minor page faults instead of 8-17 and ran about 19% fewer epochs per
-# second (2-core Xeon, glibc 2.36). Importing any scipy submodule, this one
-# alone included, keeps the faults at the lower count, most likely because the
-# import frees a large block, which raises glibc's dynamic mmap and trim
-# thresholds so that later large arrays reuse heap pages.
-from scipy.special import expit, logit
 
 from .mixture import LOG_2PI, _as_values
 from .network import lagged, presample_variances
@@ -117,6 +108,8 @@ def garch_nll(series, params: GarchParams) -> float:
 
 
 def _unconstrain(params: GarchParams, e2_0: float) -> np.ndarray:
+    from scipy.special import logit
+
     p = params.alpha1 + params.beta1
     s = params.alpha1 / p if p > 0 else 0.5
     return np.array([params.a0 / math.sqrt(e2_0), params.a1, math.log(params.alpha0),
@@ -125,6 +118,8 @@ def _unconstrain(params: GarchParams, e2_0: float) -> np.ndarray:
 
 def _coefficients(theta: np.ndarray, e2_0: float) -> tuple[tuple[float, ...], float, float]:
     """(a0, a1, alpha0, alpha1, beta1) of ``theta``, and its logistic p and s."""
+    from scipy.special import expit
+
     a0_unit, a1, t0, tp, ts = (float(v) for v in theta)
     p, s = float(expit(tp)), float(expit(ts))
     return (a0_unit * math.sqrt(e2_0), a1, math.exp(t0), p * s, p * (1.0 - s)), p, s

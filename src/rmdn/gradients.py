@@ -16,8 +16,14 @@ and ``_hidden_backward`` is the one backward step through them. Like
 reductions over components and hidden nodes are elementwise over rows.
 The forward pass does not keep what only the gradient reads: ``gradient``
 rebuilds the hidden nodes reading the previous variance and the output
-unit's derivative pelu'(z) from the cache's ``drive`` and ``s2_prev``,
+unit's derivative pelu'(z) from the tape's ``drive`` and ``s2_prev``,
 summing z in the order of the variance loop.
+
+Both passes write into a ``GradientTape``: the forward pass's ``Tape`` plus
+every backward array that outlives one statement. The caller owns it:
+``optim.train`` allocates one per run and every epoch overwrites all of it
+in place, so an epoch allocates only the temporaries of single
+expressions; a call without a tape allocates a fresh one.
 
 Two stability details:
   * the loss gradient is taken with respect to the mixing logits directly,
@@ -40,7 +46,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .mixture import _as_values, log_joint, nll
-from .network import (ELU_EPS, RecurrentState, RmdnConfig, RmdnParams,
+from .network import (ELU_EPS, RecurrentState, RmdnConfig, RmdnParams, Tape,
                       _hidden_batch, forward_pass, param_layout, unroll)
 
 # finite_diff_check's step h, and how often it halves h where a bump crosses the kink
@@ -90,47 +96,82 @@ def apply_mask(grads: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hidden_backward(g: np.ndarray, h: np.ndarray, x: np.ndarray, out_w: np.ndarray
-                     ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _hidden_backward(g: np.ndarray, h: np.ndarray, x: np.ndarray, out_w: np.ndarray,
+                     gh: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Backward twin of ``network._hidden_batch`` under a linear output layer.
 
     ``g`` (N, T) is the loss adjoint of the outputs ``out_w @ h + out_b``,
     ``h`` (K, T) the hidden activations computed from the scalar inputs
     ``x`` (T,). Returns the gradients of (in_w, in_b, out_w, out_b), in
     ``RmdnParams`` field order, and the hidden adjoint (K, T) at the
-    pre-activations.
+    pre-activations, written into ``gh``.
     """
-    gh = out_w.T @ g
+    gh = np.matmul(out_w.T, g, out=gh)
     gh[1:] *= 1.0 - h[1:] ** 2
     return (gh @ x, gh.sum(axis=1), g @ h.T, g.sum(axis=1)), gh
 
 
+class GradientTape(Tape):
+    """A forward ``Tape`` plus every array of the backward pass that outlives
+    one statement, allocated once for N components, K hidden nodes and T
+    steps. ``gradient`` overwrites each of them on every call before it
+    reads them, so a training run allocates one and reuses it every epoch.
+    """
+
+    def __init__(self, n_components: int, k_hidden: int, t_len: int):
+        super().__init__(n_components, k_hidden, t_len)
+        n, k, t = n_components, k_hidden, t_len
+        (self.p_post, self.inv_s2, self.dl_dmu, self.dl_ds2, self.z, self.dpelu,
+         self.carry, self.gz, self.a, self.scan, self.glogit, self.gmu_tot) = (
+            np.empty((n, t)) for _ in range(12))
+        self.hs = np.empty((k, n, t))           # hidden nodes reading s2_prev
+        self.dtanh_s = np.empty((k - 1, n, t))  # their tanh derivatives
+        # numpy lays out the product ws.T[:, :, None] * gz that fills ghs in
+        # (N, K, T) memory order, and its sum over axes (1, 2) rounds in
+        # memory order: a C-ordered buffer would move the gradient's last bits
+        self.ghs = np.empty((n, k, t)).transpose(1, 0, 2)
+        self.gmu_bar = np.empty(t)
+        self.gh = np.empty((k, t))              # a hidden layer's adjoint
+
+
 def gradient(series, params: RmdnParams, config: RmdnConfig,
-             init: RecurrentState) -> tuple[float, np.ndarray]:
+             init: RecurrentState, tape: GradientTape | None = None
+             ) -> tuple[float, np.ndarray]:
     """Loss and its exact derivative through the full unroll.
 
     Returns the negative log-likelihood and the gradient over the flat
     trainable vector. A non-finite loss yields all-NaN gradients; callers
     must not update through them. A finite loss can still come with a
     non-finite gradient, once the parameters have diverged far enough
-    (inf * 0 in the adjoint); that is returned without a warning.
+    (inf * 0 in the adjoint); that is returned without a warning. Every
+    array of ``tape`` is overwritten; without one, a fresh tape is
+    allocated.
     """
     values = _as_values(series)
-    cache = forward_pass(values, params, config, init)
     t_len = values.size
     k = config.k_hidden
+    if tape is None:
+        tape = GradientTape(config.n_components, k, t_len)
+    forward_pass(values, params, config, init, tape)
 
-    q, lse = log_joint(values, cache.eta, cache.mu, cache.sigma2)
+    q, lse = log_joint(values, tape.eta, tape.mu, tape.sigma2)
     with np.errstate(invalid="ignore", over="ignore"):
         loss = float(-np.sum(lse))
     if not np.isfinite(loss):
         return loss, np.full(n_trainable(config), np.nan)
 
-    p_post = np.exp(q - lse)                 # posterior responsibilities (N, T)
-    d = values - cache.mu
-    inv_s2 = 1.0 / cache.sigma2
-    dl_dmu = -p_post * d * inv_s2            # (N, T)
-    dl_ds2 = 0.5 * p_post * inv_s2 * (1.0 - d * d * inv_s2)
+    # posterior responsibilities (N, T)
+    p_post = np.exp(np.subtract(q, lse, out=tape.p_post), out=tape.p_post)
+    del q, lse
+    d = np.subtract(values, tape.mu, out=tape.dl_dmu)  # d until dl_dmu is formed
+    inv_s2 = np.divide(1.0, tape.sigma2, out=tape.inv_s2)
+    # dl_ds2 = 0.5 * p_post * inv_s2 * (1.0 - d * d * inv_s2)
+    dl_ds2 = np.multiply(d, d, out=tape.dl_ds2)
+    dl_ds2 *= inv_s2
+    np.subtract(1.0, dl_ds2, out=dl_ds2)
+    np.multiply(0.5 * p_post * inv_s2, dl_ds2, out=dl_ds2)
+    dl_dmu = np.multiply(-p_post, d, out=tape.dl_dmu)  # -p_post * d * inv_s2
+    dl_dmu *= inv_s2
 
     # the hidden nodes reading s2_prev and pelu'(z), which only the gradient
     # reads, with z summed in the variance loop's order: a tanh node the loop
@@ -138,56 +179,68 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     # never gets here, since that step's NaN variance makes the loss NaN)
     ws = params.var_out_w[:, k:]             # (N, K)
     with np.errstate(invalid="ignore", over="ignore"):
-        hs = _hidden_batch(cache.s2_prev, params.var_in_w[k:], params.var_in_b[k:])  # (K, N, T)
-        z = cache.drive + ws[:, :1] * params.var_in_w[k] * cache.s2_prev
+        hs = _hidden_batch(tape.s2_prev, params.var_in_w[k:], params.var_in_b[k:],
+                           tape.hs)          # (K, N, T)
+        z = np.multiply(ws[:, :1] * params.var_in_w[k], tape.s2_prev, out=tape.z)
+        np.add(tape.drive, z, out=z)
         for j in range(1, k):
             z += ws[:, j:j + 1] * hs[j]
-    dpelu = np.where(z > 0.0, 1.0, np.expm1(np.minimum(z, 0.0)) + 1.0)
-    dtanh_s = 1.0 - hs[1:] ** 2              # (K-1, N, T)
+    # where z > 0, expm1(0.0) + 1.0 is exactly 1.0; NaN stays NaN
+    dpelu = np.expm1(np.minimum(z, 0.0, out=tape.dpelu), out=tape.dpelu)
+    dpelu += 1.0
+    dtanh_s = np.square(hs[1:], out=tape.dtanh_s)  # (K-1, N, T)
+    np.subtract(1.0, dtanh_s, out=dtanh_s)
 
     # carry[i, t] = d z_{i,t} / d s2_prev_{i,t}, the only recurrent path
     ws_iw = (ws * params.var_in_w[k:]).T     # (K, N)
-    carry = ws_iw[0, :, None] + (dtanh_s * ws_iw[1:, :, None]).sum(axis=0)
+    carry = (dtanh_s * ws_iw[1:, :, None]).sum(axis=0, out=tape.carry)
+    np.add(ws_iw[0, :, None], carry, out=carry)
     # gz_t = dpelu_t * (dl_ds2_t + carry_{t+1} * gz_{t+1}) = b_t + a_t * gz_{t+1}
     # is linear in gz: a doubling scan solves it in ceil(log2 T) passes. It runs
     # over the components' rows end to end, since a_{T-1} = 0 cuts each chain
     # where its row ends. A variance that overflowed meets a zero or huge adjoint
     # here and in g_var: the NaN or inf it gives is the divergence signal, so it
     # must not warn
-    gz = dpelu * dl_ds2                      # d loss / d z, per component
-    a = np.zeros_like(gz)
-    a[:, :-1] = dpelu[:, :-1] * carry[:, 1:]
-    gz_flat, a_flat = gz.reshape(-1), a.reshape(-1)
+    gz = np.multiply(dpelu, dl_ds2, out=tape.gz)  # d loss / d z, per component
+    a = tape.a
+    a[:, -1] = 0.0
+    np.multiply(dpelu[:, :-1], carry[:, 1:], out=a[:, :-1])
+    gz_flat, a_flat, scan = gz.reshape(-1), a.reshape(-1), tape.scan.reshape(-1)
     s = 1
     with np.errstate(invalid="ignore", over="ignore"):
         while s < t_len:
-            gz_flat[:-s] += a_flat[:-s] * gz_flat[s:]
+            head = scan[:-s]
+            gz_flat[:-s] += np.multiply(a_flat[:-s], gz_flat[s:], out=head)
             if 2 * s < t_len:                # the last pass reads no product
-                a_flat[:-s] *= a_flat[s:]
+                a_flat[:-s] = np.multiply(a_flat[:-s], a_flat[s:], out=head)
             s *= 2
 
     # the squared-residual path does not recur: e2_prev[t+1] only feeds z[t+1]
     (ge_in_w, ge_in_b, ge_out_w, g_var_out_b), ghe = _hidden_backward(
-        gz, cache.he, cache.e2_prev, params.var_out_w[:, :k])
-    gmu_bar = np.zeros(t_len)
-    gmu_bar[:-1] = -2.0 * cache.resid[:-1] * (params.var_in_w[:k] @ ghe[:, 1:])
+        gz, tape.he, tape.e2_prev, params.var_out_w[:, :k], tape.gh)
+    gmu_bar = tape.gmu_bar
+    gmu_bar[-1] = 0.0
+    np.multiply(-2.0 * tape.resid[:-1], params.var_in_w[:k] @ ghe[:, 1:], out=gmu_bar[:-1])
 
     # the hidden nodes reading each component's own previous variance
-    ghs = ws.T[:, :, None] * gz              # (K, N, T)
+    ghs = np.multiply(ws.T[:, :, None], gz, out=tape.ghs)  # (K, N, T)
     ghs[1:] *= dtanh_s
     with np.errstate(invalid="ignore", over="ignore"):
-        g_var = (np.concatenate([ge_in_w, ghs.reshape(k, -1) @ cache.s2_prev.ravel()]),
+        g_var = (np.concatenate([ge_in_w, ghs.reshape(k, -1) @ tape.s2_prev.ravel()]),
                  np.concatenate([ge_in_b, ghs.sum(axis=(1, 2))]),
                  np.concatenate([ge_out_w, (hs * gz).sum(axis=2).T], axis=1),
                  g_var_out_b)
 
-    # loss -> logits directly (eta - p), plus the residual path through mubar
-    geta_path = gmu_bar * cache.mu
-    glogit = (cache.eta - p_post) + cache.eta * (
-        geta_path - (cache.eta * geta_path).sum(axis=0))
-    g_mix, _ = _hidden_backward(glogit, cache.hm, cache.inputs, params.mix_out_w)
-    gmu_tot = dl_dmu + gmu_bar * cache.eta
-    g_mean, _ = _hidden_backward(gmu_tot, cache.hmu, cache.inputs, params.mean_out_w)
+    # loss -> logits directly (eta - p), plus the residual path through mubar:
+    # glogit = (eta - p_post) + eta * (geta_path - (eta * geta_path).sum(axis=0))
+    glogit = np.multiply(gmu_bar, tape.mu, out=tape.glogit)  # geta_path
+    glogit -= (tape.eta * glogit).sum(axis=0)
+    np.multiply(tape.eta, glogit, out=glogit)
+    np.add(tape.eta - p_post, glogit, out=glogit)
+    g_mix, _ = _hidden_backward(glogit, tape.hm, tape.inputs, params.mix_out_w, tape.gh)
+    gmu_tot = np.multiply(gmu_bar, tape.eta, out=tape.gmu_tot)
+    np.add(dl_dmu, gmu_tot, out=gmu_tot)
+    g_mean, _ = _hidden_backward(gmu_tot, tape.hmu, tape.inputs, params.mean_out_w, tape.gh)
 
     # in RmdnParams field order, as flatten_params lays them out
     full = np.concatenate([g.ravel() for g in (*g_mix, *g_mean, *g_var)])

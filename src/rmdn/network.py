@@ -29,12 +29,15 @@ nodes with output weight 0 (all of them under ``pretrain`` init); the loop
 body is generated once per count of live tanh nodes, with those nodes
 spelled out, and yields only the variances.
 
-Two passes run the same stages. ``forward_pass`` is the gradient's tape: it
-keeps every intermediate the backward pass reads, among them the
+Two passes run the same stages. ``forward_pass`` writes the gradient's
+``Tape``: every intermediate the backward pass reads, among them the
 s2-independent part of each pre-activation (``drive``), from which the
-gradient rebuilds the rest. ``unroll`` is the scoring pass: it keeps only
-the mixture and the final recurrent state, and drops each intermediate once
-the next stage has read it. The per-component arrays are component-major,
+gradient rebuilds the rest. The tape belongs to whoever allocates it:
+``optim.train`` allocates one per run and every epoch overwrites it in
+place, so an epoch allocates only expression temporaries; a one-shot call
+gets a fresh one. ``unroll`` is the scoring pass: it keeps only the mixture
+and the final recurrent state, and drops each intermediate once the next
+stage has read it. The per-component arrays are component-major,
 (N, T), and the hidden activations (K, T), so every sum, maximum or softmax
 over components is an elementwise operation over contiguous rows of length
 T.
@@ -203,21 +206,28 @@ def positive_elu(x, alpha: float, eps: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _hidden_batch(x: np.ndarray, in_w: np.ndarray, in_b: np.ndarray) -> np.ndarray:
-    """Hidden activations for an array of scalar inputs: (...) -> (K, ...).
+def _hidden_batch(x: np.ndarray, in_w: np.ndarray, in_b: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Hidden activations for an array of scalar inputs: (...) -> (K, ...),
+    written into ``out`` if given.
 
-    Node 0 is linear, the rest are tanh.
+    Node 0 is linear, the rest are tanh. Row by row, since numpy buffers
+    every operand of a broadcast product smaller than its buffer size.
     """
-    shape = (-1,) + (1,) * x.ndim
-    h = in_w.reshape(shape) * x + in_b.reshape(shape)
-    h[1:] = np.tanh(h[1:])
+    h = np.empty(in_w.shape + x.shape) if out is None else out
+    for j, (w, b) in enumerate(zip(in_w.tolist(), in_b.tolist())):
+        np.multiply(w, x, out=h[j])
+        h[j] += b
+    np.tanh(h[1:], out=h[1:])
     return h
 
 
 def _softmax(y: np.ndarray) -> np.ndarray:
-    """Softmax over the leading (component) axis."""
-    e = np.exp(y - np.max(y, axis=0))
-    return e / np.sum(e, axis=0)
+    """Softmax over the leading (component) axis, in place."""
+    y -= np.max(y, axis=0)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=0)
+    return y
 
 
 def presample_variances(values: np.ndarray) -> tuple[float, float]:
@@ -237,11 +247,12 @@ def presample_variances(values: np.ndarray) -> tuple[float, float]:
     return (var if var > 0.0 else 1.0), var
 
 
-def lagged(first, x: np.ndarray) -> np.ndarray:
+def lagged(first, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x`` one step later along its last (time) axis, ``first`` in front:
     entry t is what step t reads from step t-1, and entry 0 is the presample
-    value."""
-    out = np.empty_like(x)
+    value. Written into ``out`` if given."""
+    if out is None:
+        out = np.empty_like(x)
     out[..., 0] = first
     out[..., 1:] = x[..., :-1]
     return out
@@ -253,28 +264,46 @@ def initial_state(series, config: RmdnConfig) -> RecurrentState:
     return RecurrentState(np.full(config.n_components, sigma2_0), e2_0)
 
 
-class ForwardCache(NamedTuple):
+class Tape:
     """The gradient's tape: what one forward pass computes on the way to the
-    variances, kept for the backward pass.
+    variances, kept for the backward pass, in arrays allocated once for N
+    components, K hidden nodes and T steps.
 
-    Time is the last axis of every array: column t belongs to step t. The
-    arrays only the backward pass reads, the hidden nodes reading s2_prev
-    and the output unit's derivative, are not here: ``gradient`` rebuilds
-    them from ``drive`` and ``s2_prev``. Scoring keeps none of it:
-    ``unroll`` runs the same stages and keeps only the mixture.
+    ``forward_pass`` overwrites every array on every call, so one tape
+    serves every epoch of a training run; ``gradients.GradientTape`` adds
+    the backward pass's arrays. Time is the last axis of every array:
+    column t belongs to step t. The arrays only the backward pass reads,
+    the hidden nodes reading s2_prev and the output unit's derivative, are
+    not here: ``gradient`` rebuilds them from ``drive`` and ``s2_prev``.
+    Scoring keeps none of it: ``unroll`` runs the same stages and keeps
+    only the mixture.
+
+    The lag-1 inputs are the one per-series constant: they are computed
+    when a series array first meets the tape, and again only when another
+    array does, so the array must not change in place between calls.
     """
 
-    inputs: np.ndarray    # (T,)  lag-1 inputs, inputs[0] = 0
-    hm: np.ndarray        # (K, T)  mixing hidden activations
-    eta: np.ndarray       # (N, T)
-    hmu: np.ndarray       # (K, T)  mean hidden activations
-    mu: np.ndarray        # (N, T)
-    he: np.ndarray        # (K, T)  variance hidden nodes reading e2_prev
-    drive: np.ndarray     # (N, T)  the pre-activation's terms that do not read s2_prev
-    sigma2: np.ndarray    # (N, T)
-    e2_prev: np.ndarray   # (T,)  squared residual fed at each step
-    s2_prev: np.ndarray   # (N, T)  variances fed at each step
-    resid: np.ndarray     # (T,)  r_t - mu_bar_t
+    def __init__(self, n_components: int, k_hidden: int, t_len: int):
+        n, k, t = n_components, k_hidden, t_len
+        self.inputs = np.empty(t)        # lag-1 inputs, inputs[0] = 0
+        self.hm = np.empty((k, t))       # mixing hidden activations
+        self.eta = np.empty((n, t))
+        self.hmu = np.empty((k, t))      # mean hidden activations
+        self.mu = np.empty((n, t))
+        self.he = np.empty((k, t))       # variance hidden nodes reading e2_prev
+        self.drive = np.empty((n, t))    # the pre-activation's terms that do not read s2_prev
+        self.sigma2 = np.empty((n, t))
+        self.e2_prev = np.empty(t)       # squared residual fed at each step
+        self.s2_prev = np.empty((n, t))  # variances fed at each step
+        self.resid = np.empty(t)         # r_t - mu_bar_t
+        self._lagged_from = None         # the series array ``inputs`` was lagged from
+
+    def lag_inputs(self, values: np.ndarray) -> np.ndarray:
+        """The lag-1 inputs of ``values``, lagged once per series array."""
+        if values is not self._lagged_from:
+            lagged(0.0, values, self.inputs)
+            self._lagged_from = values
+        return self.inputs
 
 
 _LOOP = """def loop(drive, s2, c0, {args}one_eps):
@@ -305,52 +334,67 @@ def _variance_recursion(n_nodes: int):
 
 
 # The stages of a forward pass. Each returns what the backward pass reads
-# ahead of its output, so that ``unroll`` can drop it at once. They run with
-# floating-point warnings off: non-finite values propagate as data.
+# ahead of its output, so that ``unroll`` can drop it at once, and writes its
+# arrays into the tape's where ``forward_pass`` passes them (``None``
+# allocates). They run with floating-point warnings off: non-finite values
+# propagate as data.
 
-def _mixing(inputs: np.ndarray, params: RmdnParams) -> tuple[np.ndarray, np.ndarray]:
+def _mixing(inputs: np.ndarray, params: RmdnParams, hm: np.ndarray | None = None,
+            eta: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mixing hidden activations (K, T) and mixture weights eta (N, T)."""
-    hm = _hidden_batch(inputs, params.mix_in_w, params.mix_in_b)
-    return hm, _softmax(params.mix_out_w @ hm + params.mix_out_b[:, None])
+    hm = _hidden_batch(inputs, params.mix_in_w, params.mix_in_b, hm)
+    eta = np.matmul(params.mix_out_w, hm, out=eta)
+    eta += params.mix_out_b[:, None]
+    return hm, _softmax(eta)
 
 
-def _means(inputs: np.ndarray, params: RmdnParams) -> tuple[np.ndarray, np.ndarray]:
+def _means(inputs: np.ndarray, params: RmdnParams, hmu: np.ndarray | None = None,
+           mu: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean hidden activations (K, T) and component means mu (N, T)."""
-    hmu = _hidden_batch(inputs, params.mean_in_w, params.mean_in_b)
-    return hmu, params.mean_out_w @ hmu + params.mean_out_b[:, None]
+    hmu = _hidden_batch(inputs, params.mean_in_w, params.mean_in_b, hmu)
+    mu = np.matmul(params.mean_out_w, hmu, out=mu)
+    mu += params.mean_out_b[:, None]
+    return hmu, mu
 
 
-def _residuals(values: np.ndarray, eta: np.ndarray, mu: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(values: np.ndarray, eta: np.ndarray, mu: np.ndarray,
+               resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Residuals r_t - mu_bar_t and their squares e2_t, both (T,)."""
-    resid = values - (eta * mu).sum(axis=0)
+    resid = np.subtract(values, (eta * mu).sum(axis=0), out=resid)
     return resid, resid * resid
 
 
-def _variance_drive(e2: np.ndarray, e2_0: float, params: RmdnParams
+def _variance_drive(e2: np.ndarray, e2_0: float, params: RmdnParams,
+                    e2_prev: np.ndarray | None = None, he: np.ndarray | None = None,
+                    drive: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The squared residual fed at each step (T,), the variance hidden nodes
     reading it (K, T) and ``drive`` (N, T), the pre-activation's terms that
     do not read the previous variance."""
     k = params.k_hidden
-    e2_prev = lagged(e2_0, e2)
-    he = _hidden_batch(e2_prev, params.var_in_w[:k], params.var_in_b[:k])
+    e2_prev = lagged(e2_0, e2, e2_prev)
+    he = _hidden_batch(e2_prev, params.var_in_w[:k], params.var_in_b[:k], he)
     # the linear node reading s2 folds in: at the pinned a0 = 1, b0 = 0,
     # w0 * (a0 * s2 + b0) is bit for bit w0 * b0, here, plus (w0 * a0) * s2,
     # which ``_variances`` adds
     bias = params.var_out_b + params.var_out_w[:, k] * params.var_in_b[k]
-    return e2_prev, he, params.var_out_w[:, :k] @ he + bias[:, None]
+    drive = np.matmul(params.var_out_w[:, :k], he, out=drive)
+    drive += bias[:, None]
+    return e2_prev, he, drive
 
 
-def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray) -> np.ndarray:
+def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray,
+               sigma2: np.ndarray | None = None) -> np.ndarray:
     """The N scalar variance recursions (N, T), each run over Python floats
     by the loop ``_variance_recursion`` generates for its count of live tanh
-    nodes, from the presample variances ``s2_0``."""
+    nodes, from the presample variances ``s2_0``. Every row is written on
+    every call, the NaN of lost steps included."""
     n, t_len = drive.shape
     k = params.k_hidden
     one_eps = 1.0 + ELU_EPS
     ws, in_w, in_b = params.var_out_w[:, k:], params.var_in_w[k:], params.var_in_b[k:]
-    sigma2 = np.empty_like(drive)
+    if sigma2 is None:
+        sigma2 = np.empty_like(drive)
     in_w1, in_b1 = in_w[1:].tolist(), in_b[1:].tolist()
     for i in range(n):
         # a tanh node with output weight 0 and finite inputs adds +-0 to z ...
@@ -369,26 +413,29 @@ def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray) -> np.nd
 
 
 def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
-                 init: RecurrentState) -> ForwardCache:
-    """Unroll the model over the whole series and keep the gradient's tape.
+                 init: RecurrentState, tape: Tape | None = None) -> Tape:
+    """Unroll the model over the whole series and write the gradient's tape.
 
     Only each component's own variance recurs. The mixing and mean networks
     read lagged returns alone, so the mixture means, the residuals, the
     squared residuals fed to the variance network and that network's whole
     e2 side are evaluated for all steps at once. What is left is N
     independent scalar recursions, one per component. Non-finite values
-    propagate (divergence is observable data). See ``ForwardCache`` for the
-    shapes; ``unroll`` runs the same stages for scoring.
+    propagate (divergence is observable data). Every array of ``tape`` is
+    overwritten; without one, a fresh tape is allocated. See ``Tape`` for
+    the shapes; ``unroll`` runs the same stages for scoring.
     """
-    inputs = lagged(0.0, values)
+    if tape is None:
+        tape = Tape(params.n_components, params.k_hidden, values.size)
+    inputs = tape.lag_inputs(values)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hm, eta = _mixing(inputs, params)
-        hmu, mu = _means(inputs, params)
-        resid, e2 = _residuals(values, eta, mu)
-        e2_prev, he, drive = _variance_drive(e2, init.e2_prev, params)
-        sigma2 = _variances(drive, params, init.sigma2_prev)
-    return ForwardCache(inputs, hm, eta, hmu, mu, he, drive, sigma2,
-                        e2_prev, lagged(init.sigma2_prev, sigma2), resid)
+        _mixing(inputs, params, tape.hm, tape.eta)
+        _means(inputs, params, tape.hmu, tape.mu)
+        e2 = _residuals(values, tape.eta, tape.mu, tape.resid)[1]
+        _variance_drive(e2, init.e2_prev, params, tape.e2_prev, tape.he, tape.drive)
+        _variances(tape.drive, params, init.sigma2_prev, tape.sigma2)
+    lagged(init.sigma2_prev, tape.sigma2, tape.s2_prev)
+    return tape
 
 
 def unroll(series, params: RmdnParams, config: RmdnConfig,

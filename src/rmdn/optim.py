@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gradients import apply_mask, flatten_params, gradient, unflatten_params
+from .gradients import (GradientTape, apply_mask, flatten_params, gradient,
+                        unflatten_params)
 from .mixture import nll_arrays, _as_values
 # forward_pass is not called here; the name stays bound because
 # perfbench/tracing.py wraps rmdn.optim.forward_pass
@@ -120,17 +121,19 @@ def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedul
     objective at the start of each epoch; the reported log-likelihood is
     evaluated at the final parameters. ``callback(epoch, theta, loss)``,
     if given, observes the flat parameter vector after each update.
-    Deterministic given its inputs.
+    Deterministic given its inputs. The run allocates one ``GradientTape``,
+    which every epoch's gradient overwrites.
     """
     values = _as_values(series)
     init = initial_state(values, config)
+    tape = GradientTape(config.n_components, config.k_hidden, values.size)
     theta = flatten_params(params, config)
     state = AdamState.fresh(theta.size, schedule.learning_rate)
     trace: list[float] = []
     epochs_completed = schedule.total_epochs
 
     for epoch in range(schedule.total_epochs):
-        loss, grads = gradient(values, unflatten_params(theta, config), config, init)
+        loss, grads = gradient(values, unflatten_params(theta, config), config, init, tape)
         trace.append(float(loss))
         if not np.isfinite(loss):
             epochs_completed = epoch

@@ -264,14 +264,26 @@ class TestSimulate:
 
 
 def test_scipy_optimizer_and_filter_load_on_first_use():
+    """The network path, training, scoring and the gradient check included,
+    loads no scipy module; the GARCH baseline loads the filter and the
+    optimizer when it first calls them."""
     # a fresh process: this one has long since imported everything
     code = textwrap.dedent("""
         import sys
         import rmdn, rmdn.cli
-        lazy = ("scipy.optimize", "scipy.signal")
-        assert not any(m in sys.modules for m in lazy), sorted(sys.modules)
-        from rmdn import GarchParams, fit_garch, garch_filter, simulate_garch
+        from rmdn import (GarchParams, RmdnConfig, TrainSchedule, fit_garch,
+                          finite_diff_check, garch_filter, init_params, initial_state,
+                          nll, nonlinear_node_mask, simulate_garch, train, unroll)
         true = GarchParams(0.0, 0.0, 0.05, 0.1, 0.85)
+        short = simulate_garch(true, 20, seed=7)
+        cfg = RmdnConfig(2, 3)
+        report = train(short, init_params(cfg, 1, "pretrain"), cfg, TrainSchedule(1, 1),
+                       mask=nonlinear_node_mask(cfg))
+        init = initial_state(short, cfg)
+        path, _ = unroll(short, report.final_params, cfg, init)
+        assert nll(short, path) > 0
+        assert finite_diff_check(short, report.final_params, cfg, init).passed
+        assert not any(m.split(".")[0] == "scipy" for m in sys.modules), sorted(sys.modules)
         series = simulate_garch(true, 300, seed=7)
         mu, sigma2 = garch_filter(series, true)
         assert "scipy.signal" in sys.modules and sigma2.shape == (300,)

@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rmdn.garch import GarchParams, fit_garch, simulate_garch
-from rmdn.gradients import flatten_params, nonlinear_node_mask
-from rmdn.network import RmdnConfig, init_params
+from rmdn.gradients import GradientTape, flatten_params, gradient, nonlinear_node_mask
+from rmdn.network import SCHEMES, RmdnConfig, init_params, initial_state
 from rmdn.optim import (CONVERGED, NOT_CONVERGED, AdamState, TrainSchedule,
                         adam_step, classify_convergence, train)
+
+from test_gradients import live_node_case, overflow_case
+from test_network import variance_models
 
 
 class TestAdam:
@@ -193,3 +198,69 @@ class TestTrain:
         trace = np.array(rep.loss_trace[:30])
         moving = np.convolve(trace, np.ones(10) / 10, mode="valid")
         assert np.all(np.diff(moving) <= 1e-9)
+
+
+def other_model(values, cfg, scheme, seed):
+    """A model and series of the shape of ``values`` and ``cfg``, drawn
+    from ``seed``: what a tape may hold from an earlier call."""
+    p = init_params(cfg, seed, scheme)
+    p.var_out_b[:] = np.random.default_rng(seed).uniform(-3.0, 3.0, cfg.n_components)
+    return simulate_garch(PROBE, values.size, seed=seed).values, p
+
+
+class TestGradientTape:
+    @given(variance_models(), st.sampled_from(SCHEMES), st.integers(0, 50000))
+    @example(overflow_case(), "pretrain", 1)
+    @example(live_node_case(1, 1), "plain", 2)  # K = 1: dtanh_s has no rows
+    @settings(deadline=None, max_examples=60)
+    def test_reused_tape_changes_nothing(self, model, scheme, seed):
+        """``gradient`` on a tape last filled by another model and series of
+        the same shape, the last of those calls with a non-finite loss, gives
+        the loss and gradient of a fresh tape bit for bit. So does a tape
+        whose every array holds NaN: no cell is read before this call writes
+        it, the ones written only on some calls included (a[:, -1],
+        gmu_bar[-1], e2_prev[0], the NaN rows of lost steps)."""
+        values, p, cfg = model
+        init = initial_state(values, cfg)
+        loss, grads = gradient(values, p, cfg, init)
+
+        tape = GradientTape(cfg.n_components, cfg.k_hidden, values.size)
+        other, q = other_model(values, cfg, scheme, seed)
+        gradient(other, q, cfg, initial_state(other, cfg), tape)
+        broken = other.copy()
+        broken[-1] = math.nan
+        assert math.isnan(gradient(broken, q, cfg, initial_state(broken, cfg), tape)[0])
+        # the poisoned tape meets a new series array, so it lags its inputs again
+        for trial, series in (("refilled", values), ("poisoned", values.copy())):
+            reused_loss, reused = gradient(series, p, cfg, init, tape)
+            assert np.array_equal(reused_loss, loss, equal_nan=True), trial
+            assert np.array_equal(reused, grads, equal_nan=True), trial
+            for arr in vars(tape).values():
+                if isinstance(arr, np.ndarray):
+                    arr.fill(math.nan)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(SCHEMES),
+           st.sampled_from([1000, 2000]), st.integers(0, 50000))
+    @example(2, 3, "pretrain", 1000, 0)
+    @example(4, 4, "plain", 1000, 0)
+    @example(1, 1, "pretrain", 1000, 0)
+    @example(3, 2, "plain", 2000, 0)
+    @settings(deadline=None, max_examples=20)
+    def test_epoch_on_a_reused_tape_allocates_little(self, n, k, scheme, t_len, seed):
+        """One gradient call on a reused tape allocates at most 10 N T
+        floats at a time: temporaries of single expressions, not one array
+        per intermediate."""
+        cfg = RmdnConfig(n_components=n, k_hidden=k)
+        values = simulate_garch(PROBE, t_len, seed=seed).values
+        p, init = init_params(cfg, seed, scheme), initial_state(values, cfg)
+        tape = GradientTape(n, k, t_len)
+        gradient(values, p, cfg, init, tape)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            gradient(values, p, cfg, init, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 10 * n * t_len * 8, f"{(peak - start) / (8 * n * t_len):.1f} N T"
