@@ -25,12 +25,15 @@ every backward array that outlives one statement. The caller owns it:
 in place, so an epoch allocates only the temporaries of single
 expressions; a call without a tape allocates a fresh one.
 
-Two stability details:
+Three stability details:
   * the loss gradient is taken with respect to the mixing logits directly,
     d loss / d logit_n = eta_n - p_n with p the posterior responsibility,
     so underflowed weights (eta_n == 0) never produce 0/0;
   * a non-finite loss short-circuits to all-NaN gradients, which callers
-    must treat as divergence rather than update through.
+    must treat as divergence rather than update through;
+  * everything after the forward pass, the loss included, runs under one
+    error-state scope that ignores overflow and invalid operations, so a
+    diverged model's inf and NaN come back as data, never as a warning.
 
 Trainable parameters live in a flat vector: the free entries of
 ``network.param_layout``, in ``RmdnParams`` field order (pinned entries
@@ -154,60 +157,56 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
         tape = GradientTape(config.n_components, k, t_len)
     forward_pass(values, params, config, init, tape)
 
-    q, lse = log_joint(values, tape.eta, tape.mu, tape.sigma2)
     with np.errstate(invalid="ignore", over="ignore"):
+        q, lse = log_joint(values, tape.eta, tape.mu, tape.sigma2)
         loss = float(-np.sum(lse))
-    if not np.isfinite(loss):
-        return loss, np.full(n_trainable(config), np.nan)
+        if not np.isfinite(loss):
+            return loss, np.full(n_trainable(config), np.nan)
 
-    # posterior responsibilities (N, T)
-    p_post = np.exp(np.subtract(q, lse, out=tape.p_post), out=tape.p_post)
-    del q, lse
-    d = np.subtract(values, tape.mu, out=tape.dl_dmu)  # d until dl_dmu is formed
-    inv_s2 = np.divide(1.0, tape.sigma2, out=tape.inv_s2)
-    # dl_ds2 = 0.5 * p_post * inv_s2 * (1.0 - d * d * inv_s2)
-    dl_ds2 = np.multiply(d, d, out=tape.dl_ds2)
-    dl_ds2 *= inv_s2
-    np.subtract(1.0, dl_ds2, out=dl_ds2)
-    np.multiply(0.5 * p_post * inv_s2, dl_ds2, out=dl_ds2)
-    dl_dmu = np.multiply(-p_post, d, out=tape.dl_dmu)  # -p_post * d * inv_s2
-    dl_dmu *= inv_s2
+        # posterior responsibilities (N, T)
+        p_post = np.exp(np.subtract(q, lse, out=tape.p_post), out=tape.p_post)
+        del q, lse
+        d = np.subtract(values, tape.mu, out=tape.dl_dmu)  # d until dl_dmu is formed
+        inv_s2 = np.divide(1.0, tape.sigma2, out=tape.inv_s2)
+        # dl_ds2 = 0.5 * p_post * inv_s2 * (1.0 - d * d * inv_s2)
+        dl_ds2 = np.multiply(d, d, out=tape.dl_ds2)
+        dl_ds2 *= inv_s2
+        np.subtract(1.0, dl_ds2, out=dl_ds2)
+        np.multiply(0.5 * p_post * inv_s2, dl_ds2, out=dl_ds2)
+        dl_dmu = np.multiply(-p_post, d, out=tape.dl_dmu)  # -p_post * d * inv_s2
+        dl_dmu *= inv_s2
 
-    # the hidden nodes reading s2_prev and pelu'(z), which only the gradient
-    # reads, with z summed in the variance loop's order: a tanh node the loop
-    # skips adds +-0 here (its 0 * inf = NaN at a step forward_pass marks lost
-    # never gets here, since that step's NaN variance makes the loss NaN)
-    ws = params.var_out_w[:, k:]             # (N, K)
-    with np.errstate(invalid="ignore", over="ignore"):
+        # the hidden nodes reading s2_prev and pelu'(z), which only the gradient
+        # reads, with z summed in the variance loop's order: a tanh node the loop
+        # skips adds +-0 here (its 0 * inf = NaN at a step forward_pass marks lost
+        # never gets here, since that step's NaN variance makes the loss NaN)
+        ws = params.var_out_w[:, k:]             # (N, K)
         hs = _hidden_batch(tape.s2_prev, params.var_in_w[k:], params.var_in_b[k:],
                            tape.hs)          # (K, N, T)
         z = np.multiply(ws[:, :1] * params.var_in_w[k], tape.s2_prev, out=tape.z)
         np.add(tape.drive, z, out=z)
         for j in range(1, k):
             z += ws[:, j:j + 1] * hs[j]
-    # where z > 0, expm1(0.0) + 1.0 is exactly 1.0; NaN stays NaN
-    dpelu = np.expm1(np.minimum(z, 0.0, out=tape.dpelu), out=tape.dpelu)
-    dpelu += 1.0
-    dtanh_s = np.square(hs[1:], out=tape.dtanh_s)  # (K-1, N, T)
-    np.subtract(1.0, dtanh_s, out=dtanh_s)
+        # where z > 0, expm1(0.0) + 1.0 is exactly 1.0; NaN stays NaN
+        dpelu = np.expm1(np.minimum(z, 0.0, out=tape.dpelu), out=tape.dpelu)
+        dpelu += 1.0
+        dtanh_s = np.square(hs[1:], out=tape.dtanh_s)  # (K-1, N, T)
+        np.subtract(1.0, dtanh_s, out=dtanh_s)
 
-    # carry[i, t] = d z_{i,t} / d s2_prev_{i,t}, the only recurrent path
-    ws_iw = (ws * params.var_in_w[k:]).T     # (K, N)
-    carry = (dtanh_s * ws_iw[1:, :, None]).sum(axis=0, out=tape.carry)
-    np.add(ws_iw[0, :, None], carry, out=carry)
-    # gz_t = dpelu_t * (dl_ds2_t + carry_{t+1} * gz_{t+1}) = b_t + a_t * gz_{t+1}
-    # is linear in gz: a doubling scan solves it in ceil(log2 T) passes. It runs
-    # over the components' rows end to end, since a_{T-1} = 0 cuts each chain
-    # where its row ends. A variance that overflowed meets a zero or huge adjoint
-    # here and in g_var: the NaN or inf it gives is the divergence signal, so it
-    # must not warn
-    gz = np.multiply(dpelu, dl_ds2, out=tape.gz)  # d loss / d z, per component
-    a = tape.a
-    a[:, -1] = 0.0
-    np.multiply(dpelu[:, :-1], carry[:, 1:], out=a[:, :-1])
-    gz_flat, a_flat, scan = gz.reshape(-1), a.reshape(-1), tape.scan.reshape(-1)
-    s = 1
-    with np.errstate(invalid="ignore", over="ignore"):
+        # carry[i, t] = d z_{i,t} / d s2_prev_{i,t}, the only recurrent path
+        ws_iw = (ws * params.var_in_w[k:]).T     # (K, N)
+        carry = (dtanh_s * ws_iw[1:, :, None]).sum(axis=0, out=tape.carry)
+        np.add(ws_iw[0, :, None], carry, out=carry)
+        # gz_t = dpelu_t * (dl_ds2_t + carry_{t+1} * gz_{t+1}) = b_t + a_t * gz_{t+1}
+        # is linear in gz: a doubling scan solves it in ceil(log2 T) passes. It
+        # runs over the components' rows end to end, since a_{T-1} = 0 cuts each
+        # chain where its row ends
+        gz = np.multiply(dpelu, dl_ds2, out=tape.gz)  # d loss / d z, per component
+        a = tape.a
+        a[:, -1] = 0.0
+        np.multiply(dpelu[:, :-1], carry[:, 1:], out=a[:, :-1])
+        gz_flat, a_flat, scan = gz.reshape(-1), a.reshape(-1), tape.scan.reshape(-1)
+        s = 1
         while s < t_len:
             head = scan[:-s]
             gz_flat[:-s] += np.multiply(a_flat[:-s], gz_flat[s:], out=head)
@@ -215,36 +214,35 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
                 a_flat[:-s] = np.multiply(a_flat[:-s], a_flat[s:], out=head)
             s *= 2
 
-    # the squared-residual path does not recur: e2_prev[t+1] only feeds z[t+1]
-    (ge_in_w, ge_in_b, ge_out_w, g_var_out_b), ghe = _hidden_backward(
-        gz, tape.he, tape.e2_prev, params.var_out_w[:, :k], tape.gh)
-    gmu_bar = tape.gmu_bar
-    gmu_bar[-1] = 0.0
-    np.multiply(-2.0 * tape.resid[:-1], params.var_in_w[:k] @ ghe[:, 1:], out=gmu_bar[:-1])
+        # the squared-residual path does not recur: e2_prev[t+1] only feeds z[t+1]
+        (ge_in_w, ge_in_b, ge_out_w, g_var_out_b), ghe = _hidden_backward(
+            gz, tape.he, tape.e2_prev, params.var_out_w[:, :k], tape.gh)
+        gmu_bar = tape.gmu_bar
+        gmu_bar[-1] = 0.0
+        np.multiply(-2.0 * tape.resid[:-1], params.var_in_w[:k] @ ghe[:, 1:], out=gmu_bar[:-1])
 
-    # the hidden nodes reading each component's own previous variance
-    ghs = np.multiply(ws.T[:, :, None], gz, out=tape.ghs)  # (K, N, T)
-    ghs[1:] *= dtanh_s
-    with np.errstate(invalid="ignore", over="ignore"):
+        # the hidden nodes reading each component's own previous variance
+        ghs = np.multiply(ws.T[:, :, None], gz, out=tape.ghs)  # (K, N, T)
+        ghs[1:] *= dtanh_s
         g_var = (np.concatenate([ge_in_w, ghs.reshape(k, -1) @ tape.s2_prev.ravel()]),
                  np.concatenate([ge_in_b, ghs.sum(axis=(1, 2))]),
                  np.concatenate([ge_out_w, (hs * gz).sum(axis=2).T], axis=1),
                  g_var_out_b)
 
-    # loss -> logits directly (eta - p), plus the residual path through mubar:
-    # glogit = (eta - p_post) + eta * (geta_path - (eta * geta_path).sum(axis=0))
-    glogit = np.multiply(gmu_bar, tape.mu, out=tape.glogit)  # geta_path
-    glogit -= (tape.eta * glogit).sum(axis=0)
-    np.multiply(tape.eta, glogit, out=glogit)
-    np.add(tape.eta - p_post, glogit, out=glogit)
-    g_mix, _ = _hidden_backward(glogit, tape.hm, tape.inputs, params.mix_out_w, tape.gh)
-    gmu_tot = np.multiply(gmu_bar, tape.eta, out=tape.gmu_tot)
-    np.add(dl_dmu, gmu_tot, out=gmu_tot)
-    g_mean, _ = _hidden_backward(gmu_tot, tape.hmu, tape.inputs, params.mean_out_w, tape.gh)
+        # loss -> logits directly (eta - p), plus the residual path through mubar:
+        # glogit = (eta - p_post) + eta * (geta_path - (eta * geta_path).sum(axis=0))
+        glogit = np.multiply(gmu_bar, tape.mu, out=tape.glogit)  # geta_path
+        glogit -= (tape.eta * glogit).sum(axis=0)
+        np.multiply(tape.eta, glogit, out=glogit)
+        np.add(tape.eta - p_post, glogit, out=glogit)
+        g_mix, _ = _hidden_backward(glogit, tape.hm, tape.inputs, params.mix_out_w, tape.gh)
+        gmu_tot = np.multiply(gmu_bar, tape.eta, out=tape.gmu_tot)
+        np.add(dl_dmu, gmu_tot, out=gmu_tot)
+        g_mean, _ = _hidden_backward(gmu_tot, tape.hmu, tape.inputs, params.mean_out_w, tape.gh)
 
-    # in RmdnParams field order, as flatten_params lays them out
-    full = np.concatenate([g.ravel() for g in (*g_mix, *g_mean, *g_var)])
-    return loss, full[param_layout(config.n_components, k).free]
+        # in RmdnParams field order, as flatten_params lays them out
+        full = np.concatenate([g.ravel() for g in (*g_mix, *g_mean, *g_var)])
+        return loss, full[param_layout(config.n_components, k).free]
 
 
 @dataclass

@@ -276,11 +276,8 @@ class Tape:
     the hidden nodes reading s2_prev and the output unit's derivative, are
     not here: ``gradient`` rebuilds them from ``drive`` and ``s2_prev``.
     Scoring keeps none of it: ``unroll`` runs the same stages and keeps
-    only the mixture.
-
-    The lag-1 inputs are the one per-series constant: they are computed
-    when a series array first meets the tape, and again only when another
-    array does, so the array must not change in place between calls.
+    only the mixture. Nothing carries over from one call to the next, the
+    lag-1 inputs included.
     """
 
     def __init__(self, n_components: int, k_hidden: int, t_len: int):
@@ -296,14 +293,6 @@ class Tape:
         self.e2_prev = np.empty(t)       # squared residual fed at each step
         self.s2_prev = np.empty((n, t))  # variances fed at each step
         self.resid = np.empty(t)         # r_t - mu_bar_t
-        self._lagged_from = None         # the series array ``inputs`` was lagged from
-
-    def lag_inputs(self, values: np.ndarray) -> np.ndarray:
-        """The lag-1 inputs of ``values``, lagged once per series array."""
-        if values is not self._lagged_from:
-            lagged(0.0, values, self.inputs)
-            self._lagged_from = values
-        return self.inputs
 
 
 _LOOP = """def loop(drive, s2, c0, {args}one_eps):
@@ -427,7 +416,7 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
     """
     if tape is None:
         tape = Tape(params.n_components, params.k_hidden, values.size)
-    inputs = tape.lag_inputs(values)
+    inputs = lagged(0.0, values, tape.inputs)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _mixing(inputs, params, tape.hm, tape.eta)
         _means(inputs, params, tape.hmu, tape.mu)

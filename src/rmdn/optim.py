@@ -23,9 +23,7 @@ import numpy as np
 from .gradients import (GradientTape, apply_mask, flatten_params, gradient,
                         unflatten_params)
 from .mixture import nll_arrays, _as_values
-# forward_pass is not called here; the name stays bound because
-# perfbench/tracing.py wraps rmdn.optim.forward_pass
-from .network import RmdnConfig, RmdnParams, forward_pass, initial_state, unroll  # noqa: F401
+from .network import RmdnConfig, RmdnParams, forward_pass, initial_state
 
 CONVERGED = "Converged"
 NOT_CONVERGED = "NotConverged"
@@ -122,7 +120,8 @@ def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedul
     evaluated at the final parameters. ``callback(epoch, theta, loss)``,
     if given, observes the flat parameter vector after each update.
     Deterministic given its inputs. The run allocates one ``GradientTape``,
-    which every epoch's gradient overwrites.
+    which every epoch's gradient overwrites; the final log-likelihood is
+    scored by one more forward pass on the same tape.
     """
     values = _as_values(series)
     init = initial_state(values, config)
@@ -146,8 +145,8 @@ def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedul
 
     final_params = unflatten_params(theta, config)
     if epochs_completed == schedule.total_epochs:
-        path, _ = unroll(values, final_params, config, init)
-        final_loglik = -nll_arrays(values, path.eta.T, path.mu.T, path.sigma2.T)
+        forward_pass(values, final_params, config, init, tape)
+        final_loglik = -nll_arrays(values, tape.eta, tape.mu, tape.sigma2)
     else:
         final_loglik = math.nan
     return TrainReport(

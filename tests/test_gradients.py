@@ -454,21 +454,39 @@ class TestAgainstTimeMajorOracle:
         assert np.isfinite(g).all() == np.isfinite(g_ref).all()
 
 
-def test_finite_loss_with_non_finite_gradient_is_returned_silently():
+def trained_past_overflow():
     """At lr 1.0 a plain run on this heavy-tailed series reaches parameters
     where one variance overflows to inf: the loss stays finite through the
     other component, the gradient does not, and ``train`` refuses the
-    update. ``gradient`` itself must return that pair without a warning."""
+    update."""
     values = np.random.default_rng(0).standard_t(3, 400) * 3
     cfg = RmdnConfig(2, 3)
     thetas = []
     with pytest.raises(ValueError, match="non-finite gradients"):
         train(values, init_params(cfg, 1, "plain"), cfg, TrainSchedule(0, 60, 1.0),
               callback=lambda epoch, theta, loss: thetas.append(theta))
+    return values, unflatten_params(thetas[-1], cfg), cfg
+
+
+def drawn_on_a_huge_series():
+    """Random parameters on a GARCH path scaled to a standard deviation of
+    1.7e149: the loss is finite (about 2.09e306), and its derivative in
+    the variances overflows."""
+    values = simulate_garch(PROBE, 64, seed=0).values
+    values = values * (1.7e149 / values.std())
+    cfg = RmdnConfig(2, 1)
+    theta = np.random.default_rng(0).normal(0.0, 2.0, n_trainable(cfg))
+    return values, unflatten_params(theta, cfg), cfg
+
+
+@pytest.mark.parametrize("case", [trained_past_overflow, drawn_on_a_huge_series])
+def test_finite_loss_with_non_finite_gradient_is_returned_silently(case):
+    """``gradient`` returns a finite loss with a non-finite gradient
+    without a warning."""
+    values, p, cfg = case()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        loss, grads = gradient(values, unflatten_params(thetas[-1], cfg), cfg,
-                               initial_state(values, cfg))
+        loss, grads = gradient(values, p, cfg, initial_state(values, cfg))
     assert np.isfinite(loss) and not np.all(np.isfinite(grads))
 
 

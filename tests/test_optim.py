@@ -7,7 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from rmdn.garch import GarchParams, fit_garch, simulate_garch
 from rmdn.gradients import GradientTape, flatten_params, gradient, nonlinear_node_mask
-from rmdn.network import SCHEMES, RmdnConfig, init_params, initial_state
+from rmdn.harness import arm_setup
+from rmdn.mixture import nll
+from rmdn.network import SCHEMES, RmdnConfig, init_params, initial_state, unroll
 from rmdn.optim import (CONVERGED, NOT_CONVERGED, AdamState, TrainSchedule,
                         adam_step, classify_convergence, train)
 
@@ -175,18 +177,21 @@ class TestTrain:
         assert len(rep.loss_trace) == 1
         assert math.isnan(rep.final_loglik)
 
-    def test_trace_length_and_final_loglik_consistency(self):
+    @pytest.mark.parametrize("arm", ["pretrained", "plain"])
+    def test_trace_length_and_final_loglik_consistency(self, arm):
         series = simulate_garch(PROBE, 80, seed=8)
         cfg = RmdnConfig(n_components=1, k_hidden=2)
-        sched = TrainSchedule(3, 7, 0.01)
-        rep = train(series, init_params(cfg, 9, "pretrain"), cfg, sched,
-                    mask=nonlinear_node_mask(cfg))
+        params, mask, sched = arm_setup(arm, cfg, TrainSchedule(3, 7, 0.01), 9)
+        rep = train(series, params, cfg, sched, mask=mask)
         assert len(rep.loss_trace) == sched.total_epochs
         assert rep.epochs_completed == sched.total_epochs
         assert rep.status == classify_convergence(rep.final_loglik)
         # training reduced the loss and the final value reflects the final params
         assert rep.loss_trace[-1] < rep.loss_trace[0]
         assert -rep.final_loglik <= rep.loss_trace[-1]
+        # scored on the run's tape, bit for bit the scoring pass's value
+        path, _ = unroll(series, rep.final_params, cfg, initial_state(series, cfg))
+        assert rep.final_loglik == -nll(series, path)
 
     def test_pretrain_phase_loss_is_monotone_on_average(self):
         """10-epoch moving average of the masked-phase trace is non-increasing
@@ -212,6 +217,8 @@ class TestGradientTape:
     @given(variance_models(), st.sampled_from(SCHEMES), st.integers(0, 50000))
     @example(overflow_case(), "pretrain", 1)
     @example(live_node_case(1, 1), "plain", 2)  # K = 1: dtanh_s has no rows
+    @example((simulate_garch(PROBE, 200, seed=3).values, init_params(RmdnConfig(2, 3), 5, "plain"),
+              RmdnConfig(2, 3)), "plain", 3)
     @settings(deadline=None, max_examples=60)
     def test_reused_tape_changes_nothing(self, model, scheme, seed):
         """``gradient`` on a tape last filled by another model and series of
@@ -219,7 +226,8 @@ class TestGradientTape:
         the loss and gradient of a fresh tape bit for bit. So does a tape
         whose every array holds NaN: no cell is read before this call writes
         it, the ones written only on some calls included (a[:, -1],
-        gmu_bar[-1], e2_prev[0], the NaN rows of lost steps)."""
+        gmu_bar[-1], e2_prev[0], the NaN rows of lost steps). So does a tape
+        reused after the series array it last saw changed in place."""
         values, p, cfg = model
         init = initial_state(values, cfg)
         loss, grads = gradient(values, p, cfg, init)
@@ -230,14 +238,21 @@ class TestGradientTape:
         broken = other.copy()
         broken[-1] = math.nan
         assert math.isnan(gradient(broken, q, cfg, initial_state(broken, cfg), tape)[0])
-        # the poisoned tape meets a new series array, so it lags its inputs again
-        for trial, series in (("refilled", values), ("poisoned", values.copy())):
-            reused_loss, reused = gradient(series, p, cfg, init, tape)
+        # the poisoned tape meets the same series array it last saw
+        for trial in ("refilled", "poisoned"):
+            reused_loss, reused = gradient(values, p, cfg, init, tape)
             assert np.array_equal(reused_loss, loss, equal_nan=True), trial
             assert np.array_equal(reused, grads, equal_nan=True), trial
             for arr in vars(tape).values():
-                if isinstance(arr, np.ndarray):
-                    arr.fill(math.nan)
+                arr.fill(math.nan)
+
+        # and meets it once more after it changed in place
+        values *= 2.0
+        init = initial_state(values, cfg)
+        reused_loss, reused = gradient(values, p, cfg, init, tape)
+        fresh_loss, fresh = gradient(values, p, cfg, init)
+        assert np.array_equal(reused_loss, fresh_loss, equal_nan=True), "changed in place"
+        assert np.array_equal(reused, fresh, equal_nan=True), "changed in place"
 
     @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(SCHEMES),
            st.sampled_from([1000, 2000]), st.integers(0, 50000))
