@@ -11,7 +11,8 @@ over (N, T) arrays, and everything else (mixing and mean networks, the
 squared-residual path, the loss itself) is vectorized over time too. The
 mixing network, the mean network and the squared-residual side of the
 variance network are each a hidden layer over one scalar input per step,
-and ``_hidden_backward`` is the one backward step through them. Like
+with one hidden-layer step each way: ``network._hidden_layer`` forward and
+``_hidden_backward`` back. Like
 ``forward_pass``, every adjoint is component-major, (N, T) or (K, T), so
 reductions over components and hidden nodes are elementwise over rows.
 The forward pass does not keep what only the gradient reads: ``gradient``
@@ -101,7 +102,7 @@ def apply_mask(grads: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _hidden_backward(g: np.ndarray, h: np.ndarray, x: np.ndarray, out_w: np.ndarray,
                      gh: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Backward twin of ``network._hidden_batch`` under a linear output layer.
+    """Backward twin of ``network._hidden_layer``.
 
     ``g`` (N, T) is the loss adjoint of the outputs ``out_w @ h + out_b``,
     ``h`` (K, T) the hidden activations computed from the scalar inputs

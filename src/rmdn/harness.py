@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -154,6 +153,7 @@ def run_benchmark(series_list, n_seeds: int, config: RmdnConfig | None = None,
     if workers <= 1:
         records = [_run_task(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_task, tasks))
 

@@ -322,54 +322,40 @@ def _variance_recursion(n_nodes: int):
     return namespace["loop"]
 
 
-# The stages of a forward pass. Each returns what the backward pass reads
-# ahead of its output, so that ``unroll`` can drop it at once, and writes its
-# arrays into the tape's where ``forward_pass`` passes them (``None``
-# allocates). They run with floating-point warnings off: non-finite values
-# propagate as data.
+# The stages of a forward pass. Each writes its arrays into the tape's where
+# ``forward_pass`` passes them (``None`` allocates). They run with
+# floating-point warnings off: non-finite values propagate as data.
 
-def _mixing(inputs: np.ndarray, params: RmdnParams, hm: np.ndarray | None = None,
-            eta: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Mixing hidden activations (K, T) and mixture weights eta (N, T)."""
-    hm = _hidden_batch(inputs, params.mix_in_w, params.mix_in_b, hm)
-    eta = np.matmul(params.mix_out_w, hm, out=eta)
-    eta += params.mix_out_b[:, None]
-    return hm, _softmax(eta)
-
-
-def _means(inputs: np.ndarray, params: RmdnParams, hmu: np.ndarray | None = None,
-           mu: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Mean hidden activations (K, T) and component means mu (N, T)."""
-    hmu = _hidden_batch(inputs, params.mean_in_w, params.mean_in_b, hmu)
-    mu = np.matmul(params.mean_out_w, hmu, out=mu)
-    mu += params.mean_out_b[:, None]
-    return hmu, mu
+def _hidden_layer(x: np.ndarray, in_w: np.ndarray, in_b: np.ndarray, out_w: np.ndarray,
+                  out_b: np.ndarray, h: np.ndarray | None = None,
+                  y: np.ndarray | None = None) -> np.ndarray:
+    """One subnetwork over scalar inputs (T,): the outputs ``out_w @ h +
+    out_b`` (N, T) of its hidden activations ``h`` (K, T), each written into
+    its array if given."""
+    h = _hidden_batch(x, in_w, in_b, h)
+    y = np.matmul(out_w, h, out=y)
+    y += out_b[:, None]
+    return y
 
 
 def _residuals(values: np.ndarray, eta: np.ndarray, mu: np.ndarray,
-               resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals r_t - mu_bar_t and their squares e2_t, both (T,)."""
+               resid: np.ndarray | None = None) -> np.ndarray:
+    """Squared residuals e2_t (T,); the residuals r_t - mu_bar_t go into ``resid``."""
     resid = np.subtract(values, (eta * mu).sum(axis=0), out=resid)
-    return resid, resid * resid
+    return resid * resid
 
 
-def _variance_drive(e2: np.ndarray, e2_0: float, params: RmdnParams,
-                    e2_prev: np.ndarray | None = None, he: np.ndarray | None = None,
-                    drive: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The squared residual fed at each step (T,), the variance hidden nodes
-    reading it (K, T) and ``drive`` (N, T), the pre-activation's terms that
-    do not read the previous variance."""
+def _variance_drive(e2_prev: np.ndarray, params: RmdnParams, he: np.ndarray | None = None,
+                    drive: np.ndarray | None = None) -> np.ndarray:
+    """``drive`` (N, T), the pre-activation's terms that do not read the
+    previous variance, from the squared residual fed at each step."""
     k = params.k_hidden
-    e2_prev = lagged(e2_0, e2, e2_prev)
-    he = _hidden_batch(e2_prev, params.var_in_w[:k], params.var_in_b[:k], he)
     # the linear node reading s2 folds in: at the pinned a0 = 1, b0 = 0,
     # w0 * (a0 * s2 + b0) is bit for bit w0 * b0, here, plus (w0 * a0) * s2,
     # which ``_variances`` adds
     bias = params.var_out_b + params.var_out_w[:, k] * params.var_in_b[k]
-    drive = np.matmul(params.var_out_w[:, :k], he, out=drive)
-    drive += bias[:, None]
-    return e2_prev, he, drive
+    return _hidden_layer(e2_prev, params.var_in_w[:k], params.var_in_b[:k],
+                         params.var_out_w[:, :k], bias, he, drive)
 
 
 def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray,
@@ -418,10 +404,12 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
         tape = Tape(params.n_components, params.k_hidden, values.size)
     inputs = lagged(0.0, values, tape.inputs)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _mixing(inputs, params, tape.hm, tape.eta)
-        _means(inputs, params, tape.hmu, tape.mu)
-        e2 = _residuals(values, tape.eta, tape.mu, tape.resid)[1]
-        _variance_drive(e2, init.e2_prev, params, tape.e2_prev, tape.he, tape.drive)
+        _softmax(_hidden_layer(inputs, params.mix_in_w, params.mix_in_b, params.mix_out_w,
+                               params.mix_out_b, tape.hm, tape.eta))
+        _hidden_layer(inputs, params.mean_in_w, params.mean_in_b, params.mean_out_w,
+                      params.mean_out_b, tape.hmu, tape.mu)
+        e2 = _residuals(values, tape.eta, tape.mu, tape.resid)
+        _variance_drive(lagged(init.e2_prev, e2, tape.e2_prev), params, tape.he, tape.drive)
         _variances(tape.drive, params, init.sigma2_prev, tape.sigma2)
     lagged(init.sigma2_prev, tape.sigma2, tape.s2_prev)
     return tape
@@ -441,11 +429,13 @@ def unroll(series, params: RmdnParams, config: RmdnConfig,
     values = _as_values(series)
     inputs = lagged(0.0, values)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eta = _mixing(inputs, params)[1]
-        mu = _means(inputs, params)[1]
+        eta = _softmax(_hidden_layer(inputs, params.mix_in_w, params.mix_in_b,
+                                     params.mix_out_w, params.mix_out_b))
+        mu = _hidden_layer(inputs, params.mean_in_w, params.mean_in_b, params.mean_out_w,
+                           params.mean_out_b)
         del inputs
-        e2 = _residuals(values, eta, mu)[1]
-        sigma2 = _variances(_variance_drive(e2, init.e2_prev, params)[2], params,
+        e2 = _residuals(values, eta, mu)
+        sigma2 = _variances(_variance_drive(lagged(init.e2_prev, e2), params), params,
                             init.sigma2_prev)
     return (MixturePath(eta.T, mu.T, sigma2.T),
             RecurrentState(sigma2[:, -1].copy(), e2[-1]))

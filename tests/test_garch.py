@@ -265,8 +265,8 @@ class TestSimulate:
 
 def test_scipy_optimizer_and_filter_load_on_first_use():
     """The network path, training, scoring and the gradient check included,
-    loads no scipy module; the GARCH baseline loads the filter and the
-    optimizer when it first calls them."""
+    loads no scipy module and no process pool; the GARCH baseline loads the
+    filter and the optimizer when it first calls them."""
     # a fresh process: this one has long since imported everything
     code = textwrap.dedent("""
         import sys
@@ -284,6 +284,8 @@ def test_scipy_optimizer_and_filter_load_on_first_use():
         assert nll(short, path) > 0
         assert finite_diff_check(short, report.final_params, cfg, init).passed
         assert not any(m.split(".")[0] == "scipy" for m in sys.modules), sorted(sys.modules)
+        assert not any(m.split(".")[0] in ("multiprocessing", "concurrent")
+                       for m in sys.modules), sorted(sys.modules)
         series = simulate_garch(true, 300, seed=7)
         mu, sigma2 = garch_filter(series, true)
         assert "scipy.signal" in sys.modules and sigma2.shape == (300,)

@@ -296,13 +296,25 @@ class TestGradientProperties:
         assert report.passed, f"max deviation {report.max_deviation:.2e}"
 
     @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(SCHEMES),
-           st.sampled_from([1.0, 1e-200, 1e150, 1e300]), st.integers(0, 10000),
-           st.none() | st.integers(0, 29))
+           st.sampled_from([0.0, 0.5, 2.0, 10.0]),
+           st.sampled_from([1.0, 1e-200, 1e150, 1e300, 1e-8, 1e8]), st.integers(0, 10000),
+           st.integers(2, 300).flatmap(
+               lambda t: st.tuples(st.just(t), st.none() | st.integers(0, t - 1))),
+           st.booleans())
     @settings(deadline=None, max_examples=60)
-    def test_extreme_inputs_neither_raise_nor_warn(self, n, k, scheme, scale, seed, nan_at):
+    def test_extreme_inputs_neither_raise_nor_warn(self, n, k, scheme, noise, scale, seed,
+                                                   length_and_nan, outlier):
+        """Initial parameters plus normal noise of sd ``noise``, on a series
+        of T steps, scaled, with an optional 40x outlier and NaN."""
+        t_len, nan_at = length_and_nan
         cfg = RmdnConfig(n_components=n, k_hidden=k)
-        p = init_params(cfg, seed, scheme)
-        values = simulate_garch(PROBE, 30, seed=seed).values * scale
+        theta = flatten_params(init_params(cfg, seed, scheme), cfg)
+        p = unflatten_params(
+            theta + np.random.default_rng(seed).normal(0.0, noise, theta.size), cfg)
+        values = simulate_garch(PROBE, t_len, seed=seed).values
+        if outlier:
+            values[t_len // 2] *= 40.0
+        values *= scale
         if nan_at is not None:
             values[nan_at] = math.nan
         with warnings.catch_warnings(record=True) as caught:
@@ -312,7 +324,7 @@ class TestGradientProperties:
             path, _ = unroll(values, p, cfg, init)
             loss, grads = gradient(values, p, cfg, init)
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        assert cache.sigma2.shape == (n, 30) and grads.shape == (n_trainable(cfg),)
+        assert cache.sigma2.shape == (n, t_len) and grads.shape == (n_trainable(cfg),)
         assert np.array_equal(path.sigma2.T, cache.sigma2, equal_nan=True)
         if nan_at is not None:
             assert math.isnan(loss) and np.all(np.isnan(grads))
@@ -333,10 +345,12 @@ def loop_variances(p, cfg, init, he):
 
 def overflow_case():
     """A pretrain model whose first component's variance grows tenfold per
-    step, so that it overflows to inf."""
+    step, so that it overflows to inf, read by tanh nodes of input weight 0."""
     cfg = RmdnConfig(n_components=2, k_hidden=3)
     p = init_params(cfg, 4, "pretrain")
     p.var_out_w[0, cfg.k_hidden] = 10.0
+    # stated, not left to the init scheme: 0 * inf is the NaN these cases test
+    p.var_in_w[cfg.k_hidden + 1:] = 0.0
     return simulate_garch(PROBE, 400, seed=5).values, p, cfg
 
 
