@@ -13,7 +13,9 @@ therefore mu_1 = a0 and sigma2_1 = alpha0 + alpha1*e2_0 + beta1*sigma2_0.
 ``fit_garch`` takes the same presample pair.
 
 The filter and the likelihood gradient run one recursion over raw
-coefficients, ``_recursion``, with the variance as a linear filter.
+coefficients, ``_recursion``, with the variance recursion solved as a lower
+bidiagonal linear system by one BLAS banded triangular solve; the gradient's
+adjoint recursion is the transposed solve on the same band.
 Fitting runs bounded L-BFGS-B from several variance-targeted starts on the
 unconstrained theta = (a0 / sqrt(e2_0), a1, log alpha0, logit p, logit s) with
 (alpha1, beta1) = (p*s, p*(1-s)), which enforces alpha1 + beta1 < 1; a0 in
@@ -22,7 +24,10 @@ The gradient is the exact adjoint of the variance recursion.
 
 Only this baseline needs scipy, so every scipy module is imported on first
 use, in the functions that call it: importing ``rmdn``, training and scoring
-the network and checking its gradient never load scipy.
+the network and checking its gradient never load scipy. The filter and the
+likelihood load ``scipy.linalg``'s BLAS wrappers, the fit also
+``scipy.optimize`` and ``scipy.special``; no path loads ``scipy.signal`` or
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -76,8 +81,15 @@ def _recursion(values: np.ndarray, a0: float, a1: float, alpha0: float, alpha1: 
                beta1: float, init_var: float, e2_0: float) -> tuple[np.ndarray, ...]:
     """The AR(1)-GARCH(1,1) recursion over raw coefficients: the lagged
     returns, means, residuals, squared residuals, lagged squared residuals
-    and conditional variances, each (T,)."""
-    from scipy.signal import lfilter
+    and conditional variances, each (T,), and the band of the variance
+    system, which the adjoint solves transposed.
+
+    The variances solve (I - beta1 S) sigma2 = x, S the shift down one step
+    and x_t = alpha0 + alpha1 * e2_{t-1}, with beta1 * init_var added to x_0.
+    The band holds the system in LAPACK's lower band storage, Fortran-ordered
+    so BLAS reads it in place: row 0 the unit diagonal, which ``diag=1``
+    leaves unread, row 1 the subdiagonal -beta1."""
+    from scipy.linalg.blas import dtbsv
 
     r_prev = lagged(0.0, values)
     mu = a0 + a1 * r_prev
@@ -85,25 +97,31 @@ def _recursion(values: np.ndarray, a0: float, a1: float, alpha0: float, alpha1: 
     e2 = e * e
     e2_prev = lagged(e2_0, e2)
     x = alpha0 + alpha1 * e2_prev
-    sigma2 = lfilter([1.0], [1.0, -beta1], x, zi=[beta1 * init_var])[0]
-    return r_prev, mu, e, e2, e2_prev, sigma2
+    x[0] += beta1 * init_var
+    band = np.empty((2, values.size), order="F")
+    band[0] = 1.0
+    band[1] = -beta1
+    sigma2 = dtbsv(1, band, x, lower=1, diag=1, overwrite_x=1)
+    return r_prev, mu, e, e2, e2_prev, sigma2, band
+
+
+def _filtered(series, params: GarchParams) -> tuple[np.ndarray, ...]:
+    """``_recursion`` over ``series`` with the coefficients of ``params``."""
+    values = _as_values(series)
+    return _recursion(values, params.a0, params.a1, params.alpha0, params.alpha1,
+                      params.beta1, *presample_variances(values))
 
 
 def garch_filter(series, params: GarchParams) -> tuple[np.ndarray, np.ndarray]:
     """Conditional means and variances for each observation, from the
     presample pair of ``presample_variances``."""
-    values = _as_values(series)
-    sigma2_0, e2_0 = presample_variances(values)
-    _, mu, _, _, _, sigma2 = _recursion(values, params.a0, params.a1, params.alpha0,
-                                        params.alpha1, params.beta1, sigma2_0, e2_0)
+    _, mu, _, _, _, sigma2, _ = _filtered(series, params)
     return mu, sigma2
 
 
 def garch_nll(series, params: GarchParams) -> float:
     """Negative log-likelihood sum_t 0.5*(log 2pi + log sigma2_t + e2_t/sigma2_t)."""
-    values = _as_values(series)
-    mu, sigma2 = garch_filter(values, params)
-    e2 = (values - mu) ** 2
+    _, _, _, e2, _, sigma2, _ = _filtered(series, params)
     return float(0.5 * np.sum(LOG_2PI + np.log(sigma2) + e2 / sigma2))
 
 
@@ -133,11 +151,11 @@ def _nll_grad_unconstrained(theta: np.ndarray, values: np.ndarray,
                             init_var: float, e2_0: float) -> tuple[float, np.ndarray]:
     """Exact NLL and gradient on the unconstrained scale via the adjoint of
     the variance recursion."""
-    from scipy.signal import lfilter
+    from scipy.linalg.blas import dtbsv
 
     (a0, a1, alpha0, alpha1, beta1), p, s = _coefficients(theta, e2_0)
-    r_prev, _, e, e2, e2_prev, sigma2 = _recursion(values, a0, a1, alpha0, alpha1, beta1,
-                                                   init_var, e2_0)
+    r_prev, _, e, e2, e2_prev, sigma2, band = _recursion(values, a0, a1, alpha0, alpha1,
+                                                         beta1, init_var, e2_0)
 
     inv_s2 = 1.0 / sigma2
     loss = float(0.5 * np.sum(LOG_2PI + np.log(sigma2) + e2 * inv_s2))
@@ -145,14 +163,12 @@ def _nll_grad_unconstrained(theta: np.ndarray, values: np.ndarray,
         return loss, np.full(5, np.nan)
 
     d_s2 = 0.5 * (inv_s2 - e2 * inv_s2 * inv_s2)
-    # total adjoint: g_t = d_t + beta1 * g_{t+1}, run as a forward filter on
-    # the reversed direct terms
-    g_s2 = lfilter([1.0], [1.0, -beta1], d_s2[::-1])[::-1]
-    g_next = np.empty_like(g_s2)
-    g_next[:-1] = g_s2[1:]
-    g_next[-1] = 0.0
+    # total adjoint: g_t = d_t + beta1 * g_{t+1}, the transposed system
+    g_s2 = dtbsv(1, band, d_s2, lower=1, trans=1, diag=1, overwrite_x=1)
 
-    ge2 = 0.5 * inv_s2 + alpha1 * g_next
+    # e2_t drives sigma2_{t+1}; the last one drives nothing
+    ge2 = 0.5 * inv_s2
+    ge2[:-1] += alpha1 * g_s2[1:]
     gmu = -2.0 * e * ge2
     ga0 = float(np.sum(gmu)) * math.sqrt(e2_0)
     ga1 = float(np.sum(gmu * r_prev))

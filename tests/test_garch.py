@@ -12,7 +12,8 @@ from rmdn.garch import (_FIT_LOGIT_BOUNDS, GarchFitError, GarchParams, _constrai
                         _nll_grad_unconstrained, _unconstrain, fit_garch,
                         garch_filter, garch_nll, simulate_garch)
 from rmdn.mixture import LOG_2PI, MixtureStep, nll
-from rmdn.network import RmdnConfig, initial_state, params_from_garch, unroll
+from rmdn.network import (RmdnConfig, initial_state, params_from_garch,
+                          presample_variances, unroll)
 
 
 class TestParams:
@@ -71,6 +72,35 @@ class TestFilter:
         mu, _ = garch_filter(values, p)
         np.testing.assert_allclose(mu, [0.5, 0.5 + 0.3, 0.5 + 0.6], rtol=1e-15)
 
+    @given(st.integers(1, 2000), st.floats(0.0, 0.999), st.floats(0.0, 1.0),
+           st.integers(0, 2 ** 32 - 1))
+    @example(1, 0.9, 0.5, 0)
+    @example(2, 0.999, 0.5, 1)
+    @example(2000, 0.999, 0.0, 2)  # constant drive: the two roundings part furthest
+    @settings(deadline=None, max_examples=40)
+    def test_matches_sequential_loop(self, t_len, beta1, share, seed):
+        # The recursion carries each step's rounding forward at rate beta1.
+        # The banded solve fuses x_t + beta1 * sigma2_{t-1} into one rounding
+        # where this loop rounds twice, so the two may part by up to about
+        # eps * sum_k beta1^k sigma2_{t-k}: a few 1e-15 relative on GARCH
+        # draws, up to about 8e-14 with a constant drive at beta1 = 0.999,
+        # where the loop is the one further from the exact solution.
+        rng = np.random.default_rng(seed)
+        p = GarchParams(float(rng.normal(0.0, 0.1)), float(rng.uniform(-0.5, 0.5)),
+                        float(rng.uniform(0.01, 1.0)), share * 0.99 * (1.0 - beta1), beta1)
+        values = rng.standard_t(3, t_len)
+        _, sigma2 = garch_filter(values, p)
+        s_prev, e2_prev = presample_variances(values)
+        r_prev, carried = 0.0, 0.0
+        loop, bound = np.empty(t_len), np.empty(t_len)
+        for t, r in enumerate(values.tolist()):
+            s = p.alpha0 + p.alpha1 * e2_prev + p.beta1 * s_prev
+            e = r - (p.a0 + p.a1 * r_prev)
+            carried = s + beta1 * carried
+            loop[t], bound[t] = s, 2.0 * np.finfo(float).eps * carried
+            s_prev, e2_prev, r_prev = s, e * e, r
+        assert np.all(np.abs(sigma2 - loop) <= bound)
+
     def test_all_variances_positive(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -117,6 +147,36 @@ class TestFitGradient:
             fd = (_nll_grad_unconstrained(up, values, var, var)[0]
                   - _nll_grad_unconstrained(down, values, var, var)[0]) / (2 * h)
             assert grads[i] == pytest.approx(fd, rel=1e-6, abs=1e-7), f"coordinate {i}"
+
+    @given(st.sampled_from(["garch", "two-regime"]), st.integers(50, 400),
+           st.floats(-3.0, 3.0), st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_adjoint_matches_central_differences(self, kind, t_len, log10_scale,
+                                                 fractions, seed):
+        # theta anywhere inside fit_garch's bounds, except the logits: past
+        # |logit| of about 12 the logistic saturates, a bump moves alpha1 and
+        # beta1 by a few ulps and the differences read rounding noise
+        values = 10.0 ** log10_scale * (
+            simulate_garch(GarchParams(0.0, 0.1, 0.05, 0.10, 0.85), t_len, seed).values
+            if kind == "garch" else
+            simulate_mixture_process(TwoRegimeSpec(0.0, 0.25, 0.0, 4.0, 0.5, 0.05),
+                                     t_len, seed).values)
+        init_var, e2_0 = presample_variances(values)
+        lo = [np.min(values) / math.sqrt(e2_0), -1.0, math.log(e2_0) - 40.0, -10.0, -10.0]
+        hi = [np.max(values) / math.sqrt(e2_0), 1.0, math.log(e2_0) + 5.0, 10.0, 10.0]
+        theta = np.array([a + f * (b - a) for a, b, f in zip(lo, hi, fractions)])
+        loss, grads = _nll_grad_unconstrained(theta, values, init_var, e2_0)
+        h = 1e-5
+
+        def bumped(i, d):
+            return _nll_grad_unconstrained(theta + d * np.eye(5)[i], values, init_var, e2_0)[0]
+
+        for i in range(5):
+            fd = (8.0 * (bumped(i, h) - bumped(i, -h))
+                  - (bumped(i, 2 * h) - bumped(i, -2 * h))) / (12.0 * h)
+            assert abs(grads[i] - fd) <= 1e-5 * abs(grads[i]) + 1e-8 * abs(loss), \
+                f"coordinate {i}"
 
     @pytest.mark.parametrize("tp", _FIT_LOGIT_BOUNDS)
     @pytest.mark.parametrize("ts", _FIT_LOGIT_BOUNDS)
@@ -266,14 +326,17 @@ class TestSimulate:
 def test_scipy_optimizer_and_filter_load_on_first_use():
     """The network path, training, scoring and the gradient check included,
     loads no scipy module and no process pool; the GARCH baseline loads the
-    filter and the optimizer when it first calls them."""
+    filter's BLAS wrappers and the optimizer when it first calls them, and no
+    path loads scipy's signal or stats modules."""
     # a fresh process: this one has long since imported everything
     code = textwrap.dedent("""
         import sys
         import rmdn, rmdn.cli
         from rmdn import (GarchParams, RmdnConfig, TrainSchedule, fit_garch,
-                          finite_diff_check, garch_filter, init_params, initial_state,
-                          nll, nonlinear_node_mask, simulate_garch, train, unroll)
+                          finite_diff_check, garch_filter, garch_nll, init_params,
+                          initial_state, nll, nonlinear_node_mask, run_benchmark,
+                          simulate_garch, train, unroll)
+        unloaded = ("scipy.signal", "scipy.stats")
         true = GarchParams(0.0, 0.0, 0.05, 0.1, 0.85)
         short = simulate_garch(true, 20, seed=7)
         cfg = RmdnConfig(2, 3)
@@ -288,9 +351,12 @@ def test_scipy_optimizer_and_filter_load_on_first_use():
                        for m in sys.modules), sorted(sys.modules)
         series = simulate_garch(true, 300, seed=7)
         mu, sigma2 = garch_filter(series, true)
-        assert "scipy.signal" in sys.modules and sigma2.shape == (300,)
+        assert sigma2.shape == (300,) and garch_nll(series, true) > 0
+        assert not any(m in sys.modules for m in unloaded), sorted(sys.modules)
         params, loglik = fit_garch(series)
-        assert "scipy.optimize" in sys.modules and loglik < 0
+        report = run_benchmark([series], 1, cfg, TrainSchedule(1, 1), workers=1)
+        assert "scipy.optimize" in sys.modules and loglik < 0 and report.records
+        assert not any(m in sys.modules for m in unloaded), sorted(sys.modules)
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
