@@ -153,15 +153,9 @@ def simulate_mixture_process(spec: TwoRegimeSpec, t_len: int, seed: int,
     resample = rng.random(t_len) < spec.switch_prob
     fresh = (rng.random(t_len) >= spec.weight1).astype(int)  # 1 -> regime 2
     z = rng.standard_normal(t_len)
-
-    regime = np.empty(t_len, dtype=int)
-    current = int(fresh[0])  # the first step always draws from the marginal
-    regime[0] = current
-    for t in range(1, t_len):
-        if resample[t]:
-            current = int(fresh[t])
-        regime[t] = current
-
+    resample[0] = True  # the first step always draws from the marginal
+    # each step takes the regime drawn at the last resample up to it
+    regime = fresh[np.maximum.accumulate(np.where(resample, np.arange(t_len), 0))]
     mu = np.where(regime == 0, spec.mu1, spec.mu2)
     sd = np.where(regime == 0, np.sqrt(spec.var1), np.sqrt(spec.var2))
     return ReturnSeries(mu + sd * z, name=name or f"mixture-sim-{seed}")

@@ -231,19 +231,16 @@ def simulate_garch(params: GarchParams, t_len: int, seed: int, name: str | None 
 
     if t_len < 1:
         raise ValueError("t_len must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(t_len)
-    uncond = params.unconditional_variance
-    values = np.empty(t_len)
-    sigma2_prev = uncond
-    e2_prev = uncond
-    r_prev = 0.0
-    for t in range(t_len):
-        mu_t = params.a0 + params.a1 * r_prev
-        sigma2_t = params.alpha0 + params.alpha1 * e2_prev + params.beta1 * sigma2_prev
-        shock = math.sqrt(sigma2_t) * z[t]
-        values[t] = mu_t + shock
-        e2_prev = shock * shock
-        sigma2_prev = sigma2_t
-        r_prev = values[t]
-    return ReturnSeries(values, name=name or f"garch-sim-{seed}")
+    z = np.random.default_rng(seed).standard_normal(t_len)
+    a0, a1, alpha0, alpha1, beta1 = (params.a0, params.a1, params.alpha0, params.alpha1,
+                                     params.beta1)
+    sigma2 = e2 = params.unconditional_variance
+    r = 0.0
+    values = []
+    for z_t in z.tolist():
+        sigma2 = alpha0 + alpha1 * e2 + beta1 * sigma2
+        shock = math.sqrt(sigma2) * z_t
+        r = a0 + a1 * r + shock
+        values.append(r)
+        e2 = shock * shock
+    return ReturnSeries(np.array(values), name=name or f"garch-sim-{seed}")

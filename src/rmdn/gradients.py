@@ -38,7 +38,9 @@ Three stability details:
 
 Trainable parameters live in a flat vector: the free entries of
 ``network.param_layout``, in ``RmdnParams`` field order (pinned entries
-excluded). Freezing the tanh nodes is a mask over that vector: their input
+excluded). The backward pass writes each field's gradient into that
+field's view of one layout-length array on the tape, and returns its free
+entries. Freezing the tanh nodes is a mask over that vector: their input
 weights and biases plus the output weights attached to them, across all
 three subnetworks.
 """
@@ -101,18 +103,20 @@ def apply_mask(grads: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _hidden_backward(g: np.ndarray, h: np.ndarray, x: np.ndarray, out_w: np.ndarray,
-                     gh: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+                     gh: np.ndarray, grads: tuple[np.ndarray, ...]) -> np.ndarray:
     """Backward twin of ``network._hidden_layer``.
 
     ``g`` (N, T) is the loss adjoint of the outputs ``out_w @ h + out_b``,
     ``h`` (K, T) the hidden activations computed from the scalar inputs
-    ``x`` (T,). Returns the gradients of (in_w, in_b, out_w, out_b), in
-    ``RmdnParams`` field order, and the hidden adjoint (K, T) at the
+    ``x`` (T,). Writes the gradients of (in_w, in_b, out_w, out_b) into the
+    four views ``grads`` and returns the hidden adjoint (K, T) at the
     pre-activations, written into ``gh``.
     """
     gh = np.matmul(out_w.T, g, out=gh)
     gh[1:] *= 1.0 - h[1:] ** 2
-    return (gh @ x, gh.sum(axis=1), g @ h.T, g.sum(axis=1)), gh
+    for grad, value in zip(grads, (gh @ x, gh.sum(axis=1), g @ h.T, g.sum(axis=1))):
+        grad[...] = value
+    return gh
 
 
 class GradientTape(Tape):
@@ -136,11 +140,11 @@ class GradientTape(Tape):
         self.ghs = np.empty((n, k, t)).transpose(1, 0, 2)
         self.gmu_bar = np.empty(t)
         self.gh = np.empty((k, t))              # a hidden layer's adjoint
+        self.grad = np.empty(param_layout(n, k).pinned.size)  # every entry, free or pinned
 
 
-def gradient(series, params: RmdnParams, config: RmdnConfig,
-             init: RecurrentState, tape: GradientTape | None = None
-             ) -> tuple[float, np.ndarray]:
+def gradient(series, params: RmdnParams, init: RecurrentState,
+             tape: GradientTape | None = None) -> tuple[float, np.ndarray]:
     """Loss and its exact derivative through the full unroll.
 
     Returns the negative log-likelihood and the gradient over the flat
@@ -149,20 +153,21 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
     non-finite gradient, once the parameters have diverged far enough
     (inf * 0 in the adjoint); that is returned without a warning. Every
     array of ``tape`` is overwritten; without one, a fresh tape is
-    allocated.
+    allocated. The sizes come from ``params``.
     """
     values = _as_values(series)
     t_len = values.size
-    k = config.k_hidden
+    n, k = params.n_components, params.k_hidden
+    layout = param_layout(n, k)
     if tape is None:
-        tape = GradientTape(config.n_components, k, t_len)
-    forward_pass(values, params, config, init, tape)
+        tape = GradientTape(n, k, t_len)
+    forward_pass(values, params, None, init, tape)
 
     with np.errstate(invalid="ignore", over="ignore"):
         q, lse = log_joint(values, tape.eta, tape.mu, tape.sigma2)
         loss = float(-np.sum(lse))
         if not np.isfinite(loss):
-            return loss, np.full(n_trainable(config), np.nan)
+            return loss, np.full(np.count_nonzero(layout.free), np.nan)
 
         # posterior responsibilities (N, T)
         p_post = np.exp(np.subtract(q, lse, out=tape.p_post), out=tape.p_post)
@@ -215,9 +220,11 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
                 a_flat[:-s] = np.multiply(a_flat[:-s], a_flat[s:], out=head)
             s *= 2
 
+        grads = RmdnParams(*layout.split(tape.grad))  # views of tape.grad, by field
         # the squared-residual path does not recur: e2_prev[t+1] only feeds z[t+1]
-        (ge_in_w, ge_in_b, ge_out_w, g_var_out_b), ghe = _hidden_backward(
-            gz, tape.he, tape.e2_prev, params.var_out_w[:, :k], tape.gh)
+        ghe = _hidden_backward(gz, tape.he, tape.e2_prev, params.var_out_w[:, :k], tape.gh,
+                               (grads.var_in_w[:k], grads.var_in_b[:k], grads.var_out_w[:, :k],
+                                grads.var_out_b))
         gmu_bar = tape.gmu_bar
         gmu_bar[-1] = 0.0
         np.multiply(-2.0 * tape.resid[:-1], params.var_in_w[:k] @ ghe[:, 1:], out=gmu_bar[:-1])
@@ -225,10 +232,9 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
         # the hidden nodes reading each component's own previous variance
         ghs = np.multiply(ws.T[:, :, None], gz, out=tape.ghs)  # (K, N, T)
         ghs[1:] *= dtanh_s
-        g_var = (np.concatenate([ge_in_w, ghs.reshape(k, -1) @ tape.s2_prev.ravel()]),
-                 np.concatenate([ge_in_b, ghs.sum(axis=(1, 2))]),
-                 np.concatenate([ge_out_w, (hs * gz).sum(axis=2).T], axis=1),
-                 g_var_out_b)
+        grads.var_in_w[k:] = ghs.reshape(k, -1) @ tape.s2_prev.ravel()
+        grads.var_in_b[k:] = ghs.sum(axis=(1, 2))
+        grads.var_out_w[:, k:] = (hs * gz).sum(axis=2).T
 
         # loss -> logits directly (eta - p), plus the residual path through mubar:
         # glogit = (eta - p_post) + eta * (geta_path - (eta * geta_path).sum(axis=0))
@@ -236,14 +242,13 @@ def gradient(series, params: RmdnParams, config: RmdnConfig,
         glogit -= (tape.eta * glogit).sum(axis=0)
         np.multiply(tape.eta, glogit, out=glogit)
         np.add(tape.eta - p_post, glogit, out=glogit)
-        g_mix, _ = _hidden_backward(glogit, tape.hm, tape.inputs, params.mix_out_w, tape.gh)
+        _hidden_backward(glogit, tape.hm, tape.inputs, params.mix_out_w, tape.gh,
+                         (grads.mix_in_w, grads.mix_in_b, grads.mix_out_w, grads.mix_out_b))
         gmu_tot = np.multiply(gmu_bar, tape.eta, out=tape.gmu_tot)
         np.add(dl_dmu, gmu_tot, out=gmu_tot)
-        g_mean, _ = _hidden_backward(gmu_tot, tape.hmu, tape.inputs, params.mean_out_w, tape.gh)
-
-        # in RmdnParams field order, as flatten_params lays them out
-        full = np.concatenate([g.ravel() for g in (*g_mix, *g_mean, *g_var)])
-        return loss, full[param_layout(config.n_components, k).free]
+        _hidden_backward(gmu_tot, tape.hmu, tape.inputs, params.mean_out_w, tape.gh,
+                         (grads.mean_in_w, grads.mean_in_b, grads.mean_out_w, grads.mean_out_b))
+        return loss, tape.grad[layout.free]
 
 
 @dataclass
@@ -283,7 +288,7 @@ def finite_diff_check(series, params: RmdnParams, config: RmdnConfig,
     ``_FD_HALVINGS`` times, and checked at the same tol against the last
     of those differences."""
     values = _as_values(series)
-    _, analytic = gradient(values, params, config, init)
+    _, analytic = gradient(values, params, init)
     theta = flatten_params(params, config)
     one_eps = 1.0 + ELU_EPS
 

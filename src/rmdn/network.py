@@ -29,15 +29,15 @@ nodes with output weight 0 (all of them under ``pretrain`` init); the loop
 body is generated once per count of live tanh nodes, with those nodes
 spelled out, and yields only the variances.
 
-Two passes run the same stages. ``forward_pass`` writes the gradient's
-``Tape``: every intermediate the backward pass reads, among them the
-s2-independent part of each pre-activation (``drive``), from which the
-gradient rebuilds the rest. The tape belongs to whoever allocates it:
-``optim.train`` allocates one per run and every epoch overwrites it in
-place, so an epoch allocates only expression temporaries; a one-shot call
-gets a fresh one. ``unroll`` is the scoring pass: it keeps only the mixture
-and the final recurrent state, and drops each intermediate once the next
-stage has read it. The per-component arrays are component-major,
+Two passes run the one stage sequence, ``_stages``. ``forward_pass`` has
+it write the gradient's ``Tape``: every intermediate the backward pass
+reads, among them the s2-independent part of each pre-activation
+(``drive``), from which the gradient rebuilds the rest. The tape belongs to
+whoever allocates it: ``optim.train`` allocates one per run and every epoch
+overwrites it in place, so an epoch allocates only expression temporaries;
+a one-shot call gets a fresh one. ``unroll`` is the scoring pass: it passes
+no tape, keeps only the mixture and the final recurrent state, and drops
+each intermediate once the next stage has read it. The per-component arrays are component-major,
 (N, T), and the hidden activations (K, T), so every sum, maximum or softmax
 over components is an elementwise operation over contiguous rows of length
 T.
@@ -209,15 +209,11 @@ def positive_elu(x, alpha: float, eps: float):
 def _hidden_batch(x: np.ndarray, in_w: np.ndarray, in_b: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Hidden activations for an array of scalar inputs: (...) -> (K, ...),
-    written into ``out`` if given.
-
-    Node 0 is linear, the rest are tanh. Row by row, since numpy buffers
-    every operand of a broadcast product smaller than its buffer size.
+    written into ``out`` if given. Node 0 is linear, the rest are tanh.
     """
-    h = np.empty(in_w.shape + x.shape) if out is None else out
-    for j, (w, b) in enumerate(zip(in_w.tolist(), in_b.tolist())):
-        np.multiply(w, x, out=h[j])
-        h[j] += b
+    column = in_w.shape + (1,) * x.ndim  # one row per node, broadcast over x
+    h = np.multiply(in_w.reshape(column), x, out=out)
+    h += in_b.reshape(column)
     np.tanh(h[1:], out=h[1:])
     return h
 
@@ -322,10 +318,6 @@ def _variance_recursion(n_nodes: int):
     return namespace["loop"]
 
 
-# The stages of a forward pass. Each writes its arrays into the tape's where
-# ``forward_pass`` passes them (``None`` allocates). They run with
-# floating-point warnings off: non-finite values propagate as data.
-
 def _hidden_layer(x: np.ndarray, in_w: np.ndarray, in_b: np.ndarray, out_w: np.ndarray,
                   out_b: np.ndarray, h: np.ndarray | None = None,
                   y: np.ndarray | None = None) -> np.ndarray:
@@ -343,19 +335,6 @@ def _residuals(values: np.ndarray, eta: np.ndarray, mu: np.ndarray,
     """Squared residuals e2_t (T,); the residuals r_t - mu_bar_t go into ``resid``."""
     resid = np.subtract(values, (eta * mu).sum(axis=0), out=resid)
     return resid * resid
-
-
-def _variance_drive(e2_prev: np.ndarray, params: RmdnParams, he: np.ndarray | None = None,
-                    drive: np.ndarray | None = None) -> np.ndarray:
-    """``drive`` (N, T), the pre-activation's terms that do not read the
-    previous variance, from the squared residual fed at each step."""
-    k = params.k_hidden
-    # the linear node reading s2 folds in: at the pinned a0 = 1, b0 = 0,
-    # w0 * (a0 * s2 + b0) is bit for bit w0 * b0, here, plus (w0 * a0) * s2,
-    # which ``_variances`` adds
-    bias = params.var_out_b + params.var_out_w[:, k] * params.var_in_b[k]
-    return _hidden_layer(e2_prev, params.var_in_w[:k], params.var_in_b[:k],
-                         params.var_out_w[:, :k], bias, he, drive)
 
 
 def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray,
@@ -387,7 +366,36 @@ def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray,
     return sigma2
 
 
-def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
+def _stages(values: np.ndarray, params: RmdnParams, init: RecurrentState,
+            tape: Tape | None = None) -> tuple[np.ndarray, ...]:
+    """The stages of a forward pass, in order: the lag-1 inputs (presample
+    0), the mixing and mean layers, the residuals, the variance drive
+    (presample ``init.e2_prev``) and the N variance recursions. Each writes
+    into its ``tape`` array if given and allocates otherwise; without a
+    tape, an array no later stage reads is dropped once the next stage has
+    read it. Returns eta, mu, the squared residuals and sigma2.
+    Floating-point warnings are off: non-finite values propagate as data."""
+    arrays = {} if tape is None else vars(tape)
+    k = params.k_hidden
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inputs = lagged(0.0, values, arrays.get("inputs"))
+        eta = _softmax(_hidden_layer(inputs, params.mix_in_w, params.mix_in_b, params.mix_out_w,
+                                     params.mix_out_b, arrays.get("hm"), arrays.get("eta")))
+        mu = _hidden_layer(inputs, params.mean_in_w, params.mean_in_b, params.mean_out_w,
+                           params.mean_out_b, arrays.get("hmu"), arrays.get("mu"))
+        del inputs
+        e2 = _residuals(values, eta, mu, arrays.get("resid"))
+        # the linear node reading s2 folds in: at the pinned a0 = 1, b0 = 0,
+        # w0 * (a0 * s2 + b0) is bit for bit w0 * b0, here, plus (w0 * a0) * s2,
+        # which ``_variances`` adds
+        bias = params.var_out_b + params.var_out_w[:, k] * params.var_in_b[k]
+        drive = _hidden_layer(lagged(init.e2_prev, e2, arrays.get("e2_prev")), params.var_in_w[:k],
+                              params.var_in_b[:k], params.var_out_w[:, :k], bias,
+                              arrays.get("he"), arrays.get("drive"))
+        return eta, mu, e2, _variances(drive, params, init.sigma2_prev, arrays.get("sigma2"))
+
+
+def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig | None,
                  init: RecurrentState, tape: Tape | None = None) -> Tape:
     """Unroll the model over the whole series and write the gradient's tape.
 
@@ -398,19 +406,11 @@ def forward_pass(values: np.ndarray, params: RmdnParams, config: RmdnConfig,
     independent scalar recursions, one per component. Non-finite values
     propagate (divergence is observable data). Every array of ``tape`` is
     overwritten; without one, a fresh tape is allocated. See ``Tape`` for
-    the shapes; ``unroll`` runs the same stages for scoring.
+    the shapes. ``config`` is not read: the sizes come from ``params``.
     """
     if tape is None:
         tape = Tape(params.n_components, params.k_hidden, values.size)
-    inputs = lagged(0.0, values, tape.inputs)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _softmax(_hidden_layer(inputs, params.mix_in_w, params.mix_in_b, params.mix_out_w,
-                               params.mix_out_b, tape.hm, tape.eta))
-        _hidden_layer(inputs, params.mean_in_w, params.mean_in_b, params.mean_out_w,
-                      params.mean_out_b, tape.hmu, tape.mu)
-        e2 = _residuals(values, tape.eta, tape.mu, tape.resid)
-        _variance_drive(lagged(init.e2_prev, e2, tape.e2_prev), params, tape.he, tape.drive)
-        _variances(tape.drive, params, init.sigma2_prev, tape.sigma2)
+    _stages(values, params, init, tape)
     lagged(init.sigma2_prev, tape.sigma2, tape.s2_prev)
     return tape
 
@@ -419,24 +419,14 @@ def unroll(series, params: RmdnParams, config: RmdnConfig,
            init: RecurrentState) -> tuple[MixturePath, RecurrentState]:
     """Run the model over a series; step t is the conditional mixture for r_t.
 
-    The scoring pass: it runs ``forward_pass``'s stages, with the same
-    values bit for bit, and drops each array only the gradient reads once
-    the next stage has read it. Returns the MixturePath over (T, N) views
-    of the (N, T) mixture arrays plus the final recurrent state. Steps that
-    picked up NaN/inf are flagged via ``MixtureStep.valid`` rather than
-    raising, so the likelihood can propagate the divergence.
+    The scoring pass: it runs ``forward_pass``'s stages with no tape, so
+    each array only the gradient reads is dropped once the next stage has
+    read it. Returns the MixturePath over (T, N) views of the (N, T)
+    mixture arrays plus the final recurrent state. Steps that picked up
+    NaN/inf are flagged via ``MixtureStep.valid`` rather than raising, so
+    the likelihood can propagate the divergence.
     """
-    values = _as_values(series)
-    inputs = lagged(0.0, values)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eta = _softmax(_hidden_layer(inputs, params.mix_in_w, params.mix_in_b,
-                                     params.mix_out_w, params.mix_out_b))
-        mu = _hidden_layer(inputs, params.mean_in_w, params.mean_in_b, params.mean_out_w,
-                           params.mean_out_b)
-        del inputs
-        e2 = _residuals(values, eta, mu)
-        sigma2 = _variances(_variance_drive(lagged(init.e2_prev, e2), params), params,
-                            init.sigma2_prev)
+    eta, mu, e2, sigma2 = _stages(_as_values(series), params, init)
     return (MixturePath(eta.T, mu.T, sigma2.T),
             RecurrentState(sigma2[:, -1].copy(), e2[-1]))
 

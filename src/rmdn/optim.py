@@ -132,7 +132,7 @@ def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedul
     epochs_completed = schedule.total_epochs
 
     for epoch in range(schedule.total_epochs):
-        loss, grads = gradient(values, unflatten_params(theta, config), config, init, tape)
+        loss, grads = gradient(values, unflatten_params(theta, config), init, tape)
         trace.append(float(loss))
         if not np.isfinite(loss):
             epochs_completed = epoch

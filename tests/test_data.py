@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -146,6 +147,28 @@ class TestMixtureProcess:
             TwoRegimeSpec(weight1=1.5)
         with pytest.raises(ValueError):
             TwoRegimeSpec(switch_prob=0.0)
+
+
+# SHA-256 of ``simulate_mixture_process(SIM_SPECS[i], t_len, seed=i + 3).values
+# .tobytes()``, keyed by (i, t_len): i.i.d. regimes (switch_prob 1.0) and sticky
+# ones (0.05). Every benchmark input and acceptance series is such a path, so a
+# change that moves any bit of one must show up here.
+SIM_SPECS = (TwoRegimeSpec(), TwoRegimeSpec(0.1, 0.5, -0.2, 3.0, 0.7, 0.05))
+SIM_DIGESTS = {
+    (0, 1): "a6b0ef8ccd767bc8e1008d69d0b33887f640ed1106f1702a60a84a4cebb7e993",
+    (0, 300): "3a550bffa0202dd108f26970e760e8f39ee2777b0a545532b46c6cde6c34edae",
+    (0, 20000): "810b5749d6ec0a5e73c25c475f553090630d8acbe4072344afc318a9e098ab38",
+    (1, 1): "f6a3c270626c5a27594e503676bebd9f9a1322c3233ef12b9ee3af2961ef06fa",
+    (1, 300): "4af260b4869d168e3989b54d1310a14b16f6445914ff105a9281cb7bc66725f7",
+    (1, 20000): "33c3b1662998c9a634596f07ebe5929157c61929b2b1f777663d42cf3bba116c",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SIM_DIGESTS))
+def test_simulated_path_is_pinned(key):
+    i, t_len = key
+    values = simulate_mixture_process(SIM_SPECS[i], t_len, seed=i + 3).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == SIM_DIGESTS[key]
 
 
 class TestSampleSeeds:

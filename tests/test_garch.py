@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -250,6 +251,32 @@ class TestFit:
         a = fit_garch(series)
         b = fit_garch(series)
         assert a[1] == b[1] and a[0] == b[0]
+
+
+# SHA-256 of ``simulate_garch(SIM_PARAMS[i], t_len, seed=i + 3).values.tobytes()``,
+# keyed by (i, t_len). The acceptance criteria, the ``perfbench`` fixtures and
+# every benchmark input are simulated paths, so a change to the simulator that
+# moves any bit of them must show up here.
+SIM_PARAMS = (GarchParams(0.0, 0.1, 0.05, 0.10, 0.85), GarchParams(0.05, -0.2, 0.2, 0.3, 0.6),
+              GarchParams(0.0, 0.0, 1.5, 0.05, 0.9))
+SIM_DIGESTS = {
+    (0, 1): "834591abf94d2a2e01f26e688ee4ffff44ef4c5b90e6fb37189e55d960f9ed41",
+    (0, 300): "e4b5397aad61c6c136ac423649b0f6688721d5132adaae83889c10e18cee2e62",
+    (0, 20000): "23753f706c074782089f416f1f28844f6d010934f00ebe09fd44e7af7a01be62",
+    (1, 1): "7b4ef262f5f9c0b8fcbaa899c605af9b29946f0469f60b420bc2834fa8792611",
+    (1, 300): "e46a21126d8a318a2b23195203e9fe33e26d9fa93c1270d7e036b6c30c20770b",
+    (1, 20000): "060c164392fb4b2e5a82c52be67cfb7f3a0cbf7326253a553588e5a87ae662e5",
+    (2, 1): "112fdb2e26256940128ce7de8f84181604fad8bf328113e8e56dd436ab0ad7d4",
+    (2, 300): "82f85f2bba54a18fee8440457fd07f03c6de5a3e24357986a2172b87ff063c24",
+    (2, 20000): "1bfe43b2637835ea51f612f147c4e492c4cd2e42ae216f4257b5073e25a37ebd",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SIM_DIGESTS))
+def test_simulated_path_is_pinned(key):
+    i, t_len = key
+    values = simulate_garch(SIM_PARAMS[i], t_len, seed=i + 3).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == SIM_DIGESTS[key]
 
 
 def _t3_or_normal(kind, t_len, seed):

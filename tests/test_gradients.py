@@ -173,7 +173,7 @@ class TestGradient:
         init = RecurrentState([1.5], 2.0)
         steps, _ = unroll([r], p, cfg, init)
         mu, s2 = float(steps[0].mu[0]), float(steps[0].sigma2[0])
-        _, grads = gradient([r], p, cfg, init)
+        _, grads = gradient([r], p, init)
         g = param_view(grads, cfg)
         assert g.mean_out_b[0] == pytest.approx((mu - r) / s2, rel=1e-12)
         # variance output bias: d nll / d sigma2 * dpelu, with positive branch
@@ -187,7 +187,7 @@ class TestGradient:
         series = simulate_garch(PROBE, 50, seed=4)
         p = init_params(cfg, 5, "plain")
         init = initial_state(series, cfg)
-        loss, _ = gradient(series, p, cfg, init)
+        loss, _ = gradient(series, p, init)
         steps, _ = unroll(series, p, cfg, init)
         assert loss == pytest.approx(nll(series, steps), rel=1e-12)
 
@@ -208,7 +208,7 @@ class TestGradient:
         cfg = RmdnConfig(n_components=2, k_hidden=3)
         series = simulate_garch(PROBE, 60, seed=6)
         p = init_params(cfg, 7, "pretrain")
-        _, grads = gradient(series, p, cfg, initial_state(series, cfg))
+        _, grads = gradient(series, p, initial_state(series, cfg))
         mask = nonlinear_node_mask(cfg)
         masked_part = grads[mask]
         # input weights/biases of tanh nodes get gradient 0 only through the
@@ -220,9 +220,9 @@ class TestGradient:
         series = simulate_garch(PROBE, 60, seed=8)
         cfg3 = RmdnConfig(n_components=2, k_hidden=3)
         cfg1 = RmdnConfig(n_components=2, k_hidden=1)
-        _, g3 = gradient(series, init_params(cfg3, 9, "pretrain"), cfg3,
+        _, g3 = gradient(series, init_params(cfg3, 9, "pretrain"),
                          initial_state(series, cfg3))
-        _, g1 = gradient(series, init_params(cfg1, 9, "pretrain"), cfg1,
+        _, g1 = gradient(series, init_params(cfg1, 9, "pretrain"),
                          initial_state(series, cfg1))
         v3 = param_view(g3, cfg3)
         v1 = param_view(g1, cfg1)
@@ -240,7 +240,7 @@ class TestGradient:
         cfg = RmdnConfig(n_components=1, k_hidden=1)
         p = init_params(cfg, 0, "pretrain")
         p.var_out_w[0, :] = 1e200
-        loss, grads = gradient(np.ones(10), p, cfg, RecurrentState([1.0], 1.0))
+        loss, grads = gradient(np.ones(10), p, RecurrentState([1.0], 1.0))
         assert not np.isfinite(loss)
         assert np.all(np.isnan(grads))
 
@@ -322,7 +322,7 @@ class TestGradientProperties:
             init = initial_state(values, cfg)
             cache = forward_pass(values, p, cfg, init)
             path, _ = unroll(values, p, cfg, init)
-            loss, grads = gradient(values, p, cfg, init)
+            loss, grads = gradient(values, p, init)
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert cache.sigma2.shape == (n, t_len) and grads.shape == (n_trainable(cfg),)
         assert np.array_equal(path.sigma2.T, cache.sigma2, equal_nan=True)
@@ -398,7 +398,7 @@ class TestAgainstTimeMajorOracle:
         cache = forward_pass(values, p, cfg, init)
         sigma2 = loop_variances(p, cfg, init, cache.he)
         loss_ref, g_ref = time_major_reference.gradient(values, p, cfg, init)
-        loss, g = gradient(values, p, cfg, init)
+        loss, g = gradient(values, p, init)
         assert np.array_equal(cache.sigma2, sigma2)
         assert abs(loss - loss_ref) <= 1e-13 * abs(loss_ref)
         assert np.all(np.abs(g - g_ref) <= 1e-11 * np.max(np.abs(g_ref)))
@@ -463,7 +463,7 @@ class TestAgainstTimeMajorOracle:
         p = unflatten_params(theta * 10.0 ** rng.uniform(0.0, 1.5, theta.size), cfg)
         values = simulate_garch(PROBE, t_len, seed=seed).values * 10.0 ** log_scale
         init = initial_state(values, cfg)
-        _, g = gradient(values, p, cfg, init)
+        _, g = gradient(values, p, init)
         _, g_ref = time_major_reference.gradient(values, p, cfg, init)
         assert np.isfinite(g).all() == np.isfinite(g_ref).all()
 
@@ -500,7 +500,7 @@ def test_finite_loss_with_non_finite_gradient_is_returned_silently(case):
     values, p, cfg = case()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        loss, grads = gradient(values, p, cfg, initial_state(values, cfg))
+        loss, grads = gradient(values, p, initial_state(values, cfg))
     assert np.isfinite(loss) and not np.all(np.isfinite(grads))
 
 

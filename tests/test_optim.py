@@ -230,17 +230,17 @@ class TestGradientTape:
         reused after the series array it last saw changed in place."""
         values, p, cfg = model
         init = initial_state(values, cfg)
-        loss, grads = gradient(values, p, cfg, init)
+        loss, grads = gradient(values, p, init)
 
         tape = GradientTape(cfg.n_components, cfg.k_hidden, values.size)
         other, q = other_model(values, cfg, scheme, seed)
-        gradient(other, q, cfg, initial_state(other, cfg), tape)
+        gradient(other, q, initial_state(other, cfg), tape)
         broken = other.copy()
         broken[-1] = math.nan
-        assert math.isnan(gradient(broken, q, cfg, initial_state(broken, cfg), tape)[0])
+        assert math.isnan(gradient(broken, q, initial_state(broken, cfg), tape)[0])
         # the poisoned tape meets the same series array it last saw
         for trial in ("refilled", "poisoned"):
-            reused_loss, reused = gradient(values, p, cfg, init, tape)
+            reused_loss, reused = gradient(values, p, init, tape)
             assert np.array_equal(reused_loss, loss, equal_nan=True), trial
             assert np.array_equal(reused, grads, equal_nan=True), trial
             for arr in vars(tape).values():
@@ -249,8 +249,8 @@ class TestGradientTape:
         # and meets it once more after it changed in place
         values *= 2.0
         init = initial_state(values, cfg)
-        reused_loss, reused = gradient(values, p, cfg, init, tape)
-        fresh_loss, fresh = gradient(values, p, cfg, init)
+        reused_loss, reused = gradient(values, p, init, tape)
+        fresh_loss, fresh = gradient(values, p, init)
         assert np.array_equal(reused_loss, fresh_loss, equal_nan=True), "changed in place"
         assert np.array_equal(reused, fresh, equal_nan=True), "changed in place"
 
@@ -269,12 +269,12 @@ class TestGradientTape:
         values = simulate_garch(PROBE, t_len, seed=seed).values
         p, init = init_params(cfg, seed, scheme), initial_state(values, cfg)
         tape = GradientTape(n, k, t_len)
-        gradient(values, p, cfg, init, tape)
+        gradient(values, p, init, tape)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            gradient(values, p, cfg, init, tape)
+            gradient(values, p, init, tape)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
