@@ -87,7 +87,7 @@ def load_csv(path, value_column: str = "return", label_column: str | None = None
                 raise ParseError(f"{path}: row {row_no}: non-finite value {cell!r}")
             values.append(value)
             if l_idx is not None:
-                if l_idx >= len(row):
+                if l_idx >= len(row) or not row[l_idx].strip():
                     raise ParseError(f"{path}: row {row_no}: missing label")
                 labels.append(row[l_idx].strip())
 

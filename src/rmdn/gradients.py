@@ -16,9 +16,10 @@ with one hidden-layer step each way: ``network._hidden_layer`` forward and
 ``forward_pass``, every adjoint is component-major, (N, T) or (K, T), so
 reductions over components and hidden nodes are elementwise over rows.
 The forward pass does not keep what only the gradient reads: ``gradient``
-rebuilds the hidden nodes reading the previous variance and the output
-unit's derivative pelu'(z) from the tape's ``drive`` and ``s2_prev``,
-summing z in the order of the variance loop.
+rebuilds the hidden nodes reading the previous variance, the variance
+pre-activation z and pelu'(z) from the tape's ``drive`` and ``s2_prev``,
+with ``network._preactivation``, and reads the residuals r - mu and their
+squares from ``mixture.log_joint``.
 
 Both passes write into a ``GradientTape``: the forward pass's ``Tape`` plus
 every backward array that outlives one statement. The caller owns it:
@@ -53,7 +54,7 @@ import numpy as np
 
 from .mixture import _as_values, log_joint, nll
 from .network import (ELU_EPS, RecurrentState, RmdnConfig, RmdnParams, Tape,
-                      _hidden_batch, forward_pass, param_layout, unroll)
+                      _preactivation, forward_pass, param_layout, unroll)
 
 # finite_diff_check's step h, and how often it halves h where a bump crosses the kink
 _FD_STEP = 1e-5
@@ -65,9 +66,16 @@ def n_trainable(config: RmdnConfig) -> int:
 
 
 def flatten_params(params: RmdnParams, config: RmdnConfig) -> np.ndarray:
-    """Trainable subset of the parameters as a flat vector."""
-    free = param_layout(config.n_components, config.k_hidden).free
-    return np.concatenate([getattr(params, f.name).ravel() for f in fields(params)])[free]
+    """Trainable subset of the parameters as a flat vector. Parameters of
+    another (N, K) than ``config``'s raise ValueError."""
+    n, k = config.n_components, config.k_hidden
+    layout = param_layout(n, k)
+    arrays = [getattr(params, f.name) for f in fields(params)]
+    if [a.shape for a in arrays] != list(layout.shapes):
+        raise ValueError(
+            f"expected the {layout.free.size} entries of (N, K) = ({n}, {k}), got "
+            f"{sum(a.size for a in arrays)} of ({params.n_components}, {params.k_hidden})")
+    return np.concatenate([a.ravel() for a in arrays])[layout.free]
 
 
 def unflatten_params(theta: np.ndarray, config: RmdnConfig) -> RmdnParams:
@@ -164,7 +172,8 @@ def gradient(series, params: RmdnParams, init: RecurrentState,
     forward_pass(values, params, None, init, tape)
 
     with np.errstate(invalid="ignore", over="ignore"):
-        q, lse = log_joint(values, tape.eta, tape.mu, tape.sigma2)
+        # log_joint leaves d = r - mu in dl_dmu and d * d in dl_ds2
+        q, lse = log_joint(values, tape.eta, tape.mu, tape.sigma2, tape.dl_dmu, tape.dl_ds2)
         loss = float(-np.sum(lse))
         if not np.isfinite(loss):
             return loss, np.full(np.count_nonzero(layout.free), np.nan)
@@ -172,27 +181,16 @@ def gradient(series, params: RmdnParams, init: RecurrentState,
         # posterior responsibilities (N, T)
         p_post = np.exp(np.subtract(q, lse, out=tape.p_post), out=tape.p_post)
         del q, lse
-        d = np.subtract(values, tape.mu, out=tape.dl_dmu)  # d until dl_dmu is formed
         inv_s2 = np.divide(1.0, tape.sigma2, out=tape.inv_s2)
         # dl_ds2 = 0.5 * p_post * inv_s2 * (1.0 - d * d * inv_s2)
-        dl_ds2 = np.multiply(d, d, out=tape.dl_ds2)
-        dl_ds2 *= inv_s2
+        dl_ds2 = np.multiply(tape.dl_ds2, inv_s2, out=tape.dl_ds2)
         np.subtract(1.0, dl_ds2, out=dl_ds2)
         np.multiply(0.5 * p_post * inv_s2, dl_ds2, out=dl_ds2)
-        dl_dmu = np.multiply(-p_post, d, out=tape.dl_dmu)  # -p_post * d * inv_s2
+        dl_dmu = np.multiply(-p_post, tape.dl_dmu, out=tape.dl_dmu)  # -p_post * d * inv_s2
         dl_dmu *= inv_s2
 
-        # the hidden nodes reading s2_prev and pelu'(z), which only the gradient
-        # reads, with z summed in the variance loop's order: a tanh node the loop
-        # skips adds +-0 here (its 0 * inf = NaN at a step forward_pass marks lost
-        # never gets here, since that step's NaN variance makes the loss NaN)
-        ws = params.var_out_w[:, k:]             # (N, K)
-        hs = _hidden_batch(tape.s2_prev, params.var_in_w[k:], params.var_in_b[k:],
-                           tape.hs)          # (K, N, T)
-        z = np.multiply(ws[:, :1] * params.var_in_w[k], tape.s2_prev, out=tape.z)
-        np.add(tape.drive, z, out=z)
-        for j in range(1, k):
-            z += ws[:, j:j + 1] * hs[j]
+        # what only the gradient reads: the hidden nodes reading s2_prev, z, pelu'(z)
+        hs, z = _preactivation(tape.drive, tape.s2_prev, params, tape.hs, tape.z)
         # where z > 0, expm1(0.0) + 1.0 is exactly 1.0; NaN stays NaN
         dpelu = np.expm1(np.minimum(z, 0.0, out=tape.dpelu), out=tape.dpelu)
         dpelu += 1.0
@@ -200,6 +198,7 @@ def gradient(series, params: RmdnParams, init: RecurrentState,
         np.subtract(1.0, dtanh_s, out=dtanh_s)
 
         # carry[i, t] = d z_{i,t} / d s2_prev_{i,t}, the only recurrent path
+        ws = params.var_out_w[:, k:]             # (N, K)
         ws_iw = (ws * params.var_in_w[k:]).T     # (K, N)
         carry = (dtanh_s * ws_iw[1:, :, None]).sum(axis=0, out=tape.carry)
         np.add(ws_iw[0, :, None], carry, out=carry)

@@ -14,8 +14,9 @@ per-observation log density is evaluated as
 
 so that far-tail observations underflow gracefully instead of rounding the
 density to zero; ``log_joint`` evaluates it for every likelihood, over
-component-major (N, T) arrays, and ``log_density`` restates it for one step,
-as the tests' oracle. NaN values are propagated, never trapped: a diverged
+component-major (N, T) arrays, and hands the gradient the residuals
+r - mu_i and their squares; ``log_density`` restates it for one step, as
+the tests' oracle. NaN values are propagated, never trapped: a diverged
 model produces a NaN likelihood, which downstream convergence classification
 treats as data.
 """
@@ -137,22 +138,20 @@ def nll(series, steps) -> float:
     return nll_arrays(values, path.eta.T, path.mu.T, path.sigma2.T)
 
 
-def log_joint(values: np.ndarray, eta: np.ndarray, mu: np.ndarray,
-              sigma2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def log_joint(values: np.ndarray, eta: np.ndarray, mu: np.ndarray, sigma2: np.ndarray,
+              d: np.ndarray | None = None,
+              d2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Log-space terms of the likelihood over (N, T) mixture parameter arrays.
 
     Returns q with q[i, t] = log(eta_i * phi(r_t; mu_i, sigma2_i)) and lse
     with lse[t] = logsumexp_i q[i, t] = log p(r_t), max-shifted per step. A
     step whose maximum is not finite keeps that maximum (-inf when every
-    component underflows, NaN when one is NaN).
+    component underflows, NaN when one is NaN). The residuals r_t - mu_i,t
+    and their squares are written into ``d`` and ``d2`` if given.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = (
-            np.log(eta)
-            - 0.5 * LOG_2PI
-            - 0.5 * np.log(sigma2)
-            - 0.5 * (values - mu) ** 2 / sigma2
-        )
+        q = (np.log(eta) - 0.5 * LOG_2PI - 0.5 * np.log(sigma2)
+             - 0.5 * np.square(np.subtract(values, mu, out=d), out=d2) / sigma2)
         m = np.max(q, axis=0)
         shift = np.where(np.isfinite(m), m, 0.0)
         lse = shift + np.log(np.sum(np.exp(q - shift), axis=0))

@@ -24,10 +24,10 @@ Only the N component variances truly recur. The mixing and mean networks
 read lagged returns alone, so mubar_t, and with it e2_t, is known for every
 step before the variance network runs; ``forward_pass`` evaluates all of
 that at once and loops only over N independent scalar variance recursions.
-Their steps fold the pinned linear node into one coefficient and skip tanh
-nodes with output weight 0 (all of them under ``pretrain`` init); the loop
-body is generated once per count of live tanh nodes, with those nodes
-spelled out, and yields only the variances.
+Their steps fold the pinned linear node into one coefficient and skip the
+tanh nodes ``_variances`` names; the loop body is generated once per count
+of live tanh nodes and yields only the variances. ``_preactivation`` is its
+pre-activation over whole (N, T) arrays, every tanh node included.
 
 Two passes run the one stage sequence, ``_stages``. ``forward_pass`` has
 it write the gradient's ``Tape``: every intermediate the backward pass
@@ -37,10 +37,10 @@ whoever allocates it: ``optim.train`` allocates one per run and every epoch
 overwrites it in place, so an epoch allocates only expression temporaries;
 a one-shot call gets a fresh one. ``unroll`` is the scoring pass: it passes
 no tape, keeps only the mixture and the final recurrent state, and drops
-each intermediate once the next stage has read it. The per-component arrays are component-major,
-(N, T), and the hidden activations (K, T), so every sum, maximum or softmax
-over components is an elementwise operation over contiguous rows of length
-T.
+each intermediate once the next stage has read it. The per-component
+arrays are component-major, (N, T), and the hidden activations (K, T), so
+every sum, maximum or softmax over components is an elementwise operation
+over contiguous rows of length T.
 
 With a single component and all tanh weights at zero the model collapses to
 an AR(1) conditional mean and, whenever the variance pre-activation is
@@ -303,14 +303,9 @@ _LOOP = """def loop(drive, s2, c0, {args}one_eps):
 @functools.lru_cache(maxsize=32)
 def _variance_recursion(n_nodes: int):
     """One component's variance recursion over Python floats, generated for
-    ``n_nodes`` live tanh nodes and cached.
-
-    ``loop(drive, s2, c0, w0, a0, b0, ..., one_eps)`` computes
-    z_t = drive[t] + c0 * s2 + w0 * tanh(a0 * s2 + b0) + ..., adding the
-    terms in that order: the previous variance s2 times its coefficient
-    through the linear node, then each live tanh node reading it, with
-    ``drive`` for the rest. It yields the variances pelu(z_t).
-    """
+    ``n_nodes`` live tanh nodes and cached: ``loop(drive, s2, c0, w0, a0,
+    b0, ..., one_eps)`` yields the variances pelu(z_t), with z_t summed in
+    this order: drive[t] + c0 * s2 + w0 * tanh(a0 * s2 + b0) + ...."""
     args = "".join(f"w{j}, a{j}, b{j}, " for j in range(n_nodes))
     terms = "".join(f" + w{j} * tanh(a{j} * s2 + b{j})" for j in range(n_nodes))
     namespace = {"tanh": math.tanh, "expm1": math.expm1}
@@ -339,10 +334,13 @@ def _residuals(values: np.ndarray, eta: np.ndarray, mu: np.ndarray,
 
 def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray,
                sigma2: np.ndarray | None = None) -> np.ndarray:
-    """The N scalar variance recursions (N, T), each run over Python floats
-    by the loop ``_variance_recursion`` generates for its count of live tanh
-    nodes, from the presample variances ``s2_0``. Every row is written on
-    every call, the NaN of lost steps included."""
+    """The N scalar variance recursions (N, T) from the presample variances
+    ``s2_0``, each run over Python floats by the loop ``_variance_recursion``
+    generates for its count of live tanh nodes; every row is written. A tanh
+    node with output weight 0 and finite inputs adds +-0 to z and is skipped,
+    unless its component's presample or computed variance is infinite, where
+    it can add 0 * tanh(0 * inf + b) = NaN: that component runs again with
+    every node."""
     n, t_len = drive.shape
     k = params.k_hidden
     one_eps = 1.0 + ELU_EPS
@@ -351,19 +349,30 @@ def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray,
         sigma2 = np.empty_like(drive)
     in_w1, in_b1 = in_w[1:].tolist(), in_b[1:].tolist()
     for i in range(n):
-        # a tanh node with output weight 0 and finite inputs adds +-0 to z ...
-        live = [x for w, a, b in zip(ws[i, 1:].tolist(), in_w1, in_b1)
-                if w != 0.0 or not (math.isfinite(a) and math.isfinite(b)) for x in (w, a, b)]
-        loop = _variance_recursion(len(live) // 3)
-        sigma2[i] = np.fromiter(loop(memoryview(drive[i]), float(s2_0[i]),
-                                     float(ws[i, 0] * in_w[0]), *live, one_eps), float, t_len)
-    inf = lagged(np.isinf(s2_0), np.isinf(sigma2))  # where s2_prev is inf
-    if inf.any():
-        # ... but 0 * inf is NaN if its input weight is 0 and s2 inf, and NaN recurs
-        lost = (np.any((ws[:, 1:] == 0.0) & (in_w[1:] == 0.0), axis=1)[:, None]
-                & np.logical_or.accumulate(inf, axis=1))
-        sigma2[lost] = np.nan
+        for every in (False, True):
+            live = [x for w, a, b in zip(ws[i, 1:].tolist(), in_w1, in_b1)
+                    if every or w != 0.0 or not (math.isfinite(a) and math.isfinite(b))
+                    for x in (w, a, b)]
+            loop = _variance_recursion(len(live) // 3)
+            sigma2[i] = np.fromiter(loop(memoryview(drive[i]), float(s2_0[i]),
+                                         float(ws[i, 0] * in_w[0]), *live, one_eps), float, t_len)
+            if not (math.isinf(s2_0[i]) or np.isinf(sigma2[i]).any()):
+                break
     return sigma2
+
+
+def _preactivation(drive: np.ndarray, s2_prev: np.ndarray, params: RmdnParams,
+                   hs: np.ndarray | None = None, z: np.ndarray | None = None):
+    """``_variance_recursion``'s pre-activation z over (N, T) arrays, summed
+    in its order over every tanh node. Returns the hidden nodes reading
+    s2_prev (K, N, T) and z, each written into its array if given."""
+    k = params.k_hidden
+    ws = params.var_out_w[:, k:]
+    hs = _hidden_batch(s2_prev, params.var_in_w[k:], params.var_in_b[k:], hs)
+    z = np.add(drive, np.multiply(ws[:, :1] * params.var_in_w[k], s2_prev, out=z), out=z)
+    for j in range(1, k):
+        z += ws[:, j:j + 1] * hs[j]
+    return hs, z
 
 
 def _stages(values: np.ndarray, params: RmdnParams, init: RecurrentState,
@@ -387,7 +396,7 @@ def _stages(values: np.ndarray, params: RmdnParams, init: RecurrentState,
         e2 = _residuals(values, eta, mu, arrays.get("resid"))
         # the linear node reading s2 folds in: at the pinned a0 = 1, b0 = 0,
         # w0 * (a0 * s2 + b0) is bit for bit w0 * b0, here, plus (w0 * a0) * s2,
-        # which ``_variances`` adds
+        # which ``_variances`` and ``_preactivation`` add
         bias = params.var_out_b + params.var_out_w[:, k] * params.var_in_b[k]
         drive = _hidden_layer(lagged(init.e2_prev, e2, arrays.get("e2_prev")), params.var_in_w[:k],
                               params.var_in_b[:k], params.var_out_w[:, :k], bias,

@@ -23,7 +23,7 @@ import numpy as np
 from .gradients import (GradientTape, apply_mask, flatten_params, gradient,
                         unflatten_params)
 from .mixture import nll_arrays, _as_values
-from .network import RmdnConfig, RmdnParams, forward_pass, initial_state
+from .network import RmdnConfig, RmdnParams, forward_pass, initial_state, param_layout
 
 CONVERGED = "Converged"
 NOT_CONVERGED = "NotConverged"
@@ -120,19 +120,25 @@ def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedul
     evaluated at the final parameters. ``callback(epoch, theta, loss)``,
     if given, observes the flat parameter vector after each update.
     Deterministic given its inputs. The run allocates one ``GradientTape``,
-    which every epoch's gradient overwrites; the final log-likelihood is
-    scored by one more forward pass on the same tape.
+    which every epoch's gradient overwrites, and one layout-length parameter
+    vector, whose pinned entries are set once and whose free entries every
+    epoch fills with theta; the final log-likelihood is scored by one more
+    forward pass on the same tape.
     """
     values = _as_values(series)
     init = initial_state(values, config)
     tape = GradientTape(config.n_components, config.k_hidden, values.size)
     theta = flatten_params(params, config)
+    layout = param_layout(config.n_components, config.k_hidden)
+    flat = layout.pinned.copy()
+    epoch_params = RmdnParams(*layout.split(flat))  # views of flat, by field
     state = AdamState.fresh(theta.size, schedule.learning_rate)
     trace: list[float] = []
     epochs_completed = schedule.total_epochs
 
     for epoch in range(schedule.total_epochs):
-        loss, grads = gradient(values, unflatten_params(theta, config), init, tape)
+        flat[layout.free] = theta
+        loss, grads = gradient(values, epoch_params, init, tape)
         trace.append(float(loss))
         if not np.isfinite(loss):
             epochs_completed = epoch

@@ -56,6 +56,28 @@ class TestCsv:
         with pytest.raises(ParseError, match="'return' not found"):
             load_csv(path)
 
+    def test_missing_label_column_named(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("return\n0.01\n")
+        with pytest.raises(ParseError, match="label column 'date' not found"):
+            load_csv(path, label_column="date")
+
+    def test_row_without_label_cell_names_row(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("return,date\n0.01,2020-01-01\n0.02\n")
+        with pytest.raises(ParseError, match="row 3: missing label"):
+            load_csv(path, label_column="date")
+
+    @pytest.mark.parametrize("rows,row_no", [
+        (",0.01\n2020-01-02,0.02\n", 2),
+        ("2020-01-01,0.01\n ,0.02\n", 3),
+    ], ids=["first-row", "later-row"])
+    def test_blank_label_names_row(self, rows, row_no, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("date,return\n" + rows)
+        with pytest.raises(ParseError, match=f"row {row_no}: missing label"):
+            load_csv(path, label_column="date")
+
     def test_blank_cell_names_row(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("return\n0.01\n\n0.02\n,\n")
@@ -147,6 +169,8 @@ class TestMixtureProcess:
             TwoRegimeSpec(weight1=1.5)
         with pytest.raises(ValueError):
             TwoRegimeSpec(switch_prob=0.0)
+        with pytest.raises(ValueError, match="t_len must be >= 1"):
+            simulate_mixture_process(TwoRegimeSpec(), 0, seed=1)
 
 
 # SHA-256 of ``simulate_mixture_process(SIM_SPECS[i], t_len, seed=i + 3).values
@@ -190,6 +214,10 @@ class TestSampleSeeds:
     def test_over_ask_rejected(self):
         with pytest.raises(ValueError):
             sample_seeds(12, 5, 15)
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_seeds(0)
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):

@@ -42,6 +42,12 @@ class TestFlattening:
         with pytest.raises(ValueError):
             unflatten_params(np.zeros(n_trainable(cfg) + 1), cfg)
 
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 4)])
+    def test_flatten_rejects_params_of_another_size(self, n, k):
+        p = init_params(RmdnConfig(n_components=n, k_hidden=k), 5, "plain")
+        with pytest.raises(ValueError, match=rf"\(N, K\) = \(2, 3\), got \d+ of \({n}, {k}\)"):
+            flatten_params(p, RmdnConfig(n_components=2, k_hidden=3))
+
 
 def oracle_flatten(p, k):
     """The flat order written out field by field: the pinned linear nodes
@@ -413,6 +419,18 @@ class TestAgainstTimeMajorOracle:
         init = initial_state(values, cfg)
         cache = forward_pass(values, p, cfg, init)
         assert np.isinf(cache.sigma2[0]).any() and np.isnan(cache.sigma2[0, -1])
+        assert np.array_equal(cache.sigma2, loop_variances(p, cfg, init, cache.he),
+                              equal_nan=True)
+
+    def test_infinite_presample_variance_turns_nan_through_skipped_node(self):
+        """A component whose presample variance is infinite gets 0 * inf =
+        NaN from its tanh nodes of input weight 0 at the first step, as the
+        sequential loop does, though the forward pass skips those nodes
+        elsewhere; the other component keeps its finite variances."""
+        values, p, cfg = overflow_case()
+        init = RecurrentState([math.inf, 1.0], initial_state(values, cfg).e2_prev)
+        cache = forward_pass(values, p, cfg, init)
+        assert np.isnan(cache.sigma2[0]).all() and np.isfinite(cache.sigma2[1]).all()
         assert np.array_equal(cache.sigma2, loop_variances(p, cfg, init, cache.he),
                               equal_nan=True)
 

@@ -242,6 +242,14 @@ class TestModelFiles:
                      id="sigma2_prev-negative"),
         pytest.param(edit_entry("state", "e2_prev", -0.5), "state.e2_prev",
                      id="e2_prev-negative"),
+        pytest.param(edit_entry("state", "e2_prev", DROP), "missing field state.e2_prev",
+                     id="e2_prev-missing"),
+        pytest.param(lambda payload: {k: v for k, v in payload.items() if k != "state"},
+                     "missing field 'state'", id="section-missing"),
+        pytest.param(lambda payload: {**payload, "params": [1.0]},
+                     "field 'params' must be a JSON object", id="section-not-object"),
+        pytest.param(edit_entry("params", "var_out_w", [[1.0] * 6, [1.0] * 5]),
+                     "params.var_out_w must hold only numbers", id="ragged-lists"),
     ])
     def test_malformed_file_names_the_field(self, edit, field, tmp_path):
         path = tmp_path / "model.json"

@@ -345,6 +345,10 @@ class TestUnroll:
             np.testing.assert_allclose(mu_r, mu_g, atol=1e-10)
             np.testing.assert_allclose(s2_r, s2_g, atol=1e-10)
 
+    def test_garch_embedding_needs_one_component(self):
+        with pytest.raises(ValueError, match="n_components == 1"):
+            params_from_garch(GarchParams(0.0, 0.0, 0.05, 0.1, 0.8), RmdnConfig(2, 3))
+
     def test_component_permutation_symmetry(self):
         gp = GarchParams(0.0, 0.0, 0.05, 0.1, 0.8)
         series = simulate_garch(gp, 40, seed=2)

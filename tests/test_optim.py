@@ -46,6 +46,11 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(np.zeros(2), np.array([1.0, math.nan]), state)
 
+    def test_mismatched_lengths_rejected(self):
+        state = AdamState.fresh(2, learning_rate=0.01)
+        with pytest.raises(ValueError, match="does not match parameter length"):
+            adam_step(np.zeros(2), np.zeros(3), state)
+
     def test_functional_update_leaves_inputs_alone(self):
         state = AdamState.fresh(1, learning_rate=0.01)
         theta = np.array([1.0])
@@ -226,7 +231,7 @@ class TestGradientTape:
         the loss and gradient of a fresh tape bit for bit. So does a tape
         whose every array holds NaN: no cell is read before this call writes
         it, the ones written only on some calls included (a[:, -1],
-        gmu_bar[-1], e2_prev[0], the NaN rows of lost steps). So does a tape
+        gmu_bar[-1], e2_prev[0]). So does a tape
         reused after the series array it last saw changed in place."""
         values, p, cfg = model
         init = initial_state(values, cfg)
