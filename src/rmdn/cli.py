@@ -136,13 +136,12 @@ def _cmd_simulate_mixture(args) -> int:
     return 0
 
 
-def _load_series(args) -> ReturnSeries:
-    return load_csv(args.data, value_column=args.value_column,
-                    label_column=args.label_column)
+def _load_series(path, args) -> ReturnSeries:
+    return load_csv(path, value_column=args.value_column, label_column=args.label_column)
 
 
 def _cmd_fit(args) -> int:
-    series = _load_series(args)
+    series = _load_series(args.data, args)
     if args.model == "garch":
         params, loglik = fit_garch(series)
         print(
@@ -174,10 +173,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    series_list = [
-        load_csv(path, value_column=args.value_column, label_column=args.label_column)
-        for path in args.data
-    ]
+    series_list = [_load_series(path, args) for path in args.data]
     config = RmdnConfig(args.components, args.hidden)
     schedule = TrainSchedule(args.pretrain_epochs, args.epochs, args.lr)
     report = run_benchmark(series_list, args.seeds, config, schedule,

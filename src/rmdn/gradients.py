@@ -16,10 +16,10 @@ with one hidden-layer step each way: ``network._hidden_layer`` forward and
 ``forward_pass``, every adjoint is component-major, (N, T) or (K, T), so
 reductions over components and hidden nodes are elementwise over rows.
 The forward pass does not keep what only the gradient reads: ``gradient``
-rebuilds the hidden nodes reading the previous variance, the variance
-pre-activation z and pelu'(z) from the tape's ``drive`` and ``s2_prev``,
-with ``network._preactivation``, and reads the residuals r - mu and their
-squares from ``mixture.log_joint``.
+rebuilds the hidden nodes reading the previous variance and the variance
+pre-activation z from the tape's ``drive`` and ``s2_prev``, with
+``network._preactivation``, turns z into pelu'(z) in place, and reads the
+residuals r - mu and their squares from ``mixture.log_joint``.
 
 Both passes write into a ``GradientTape``: the forward pass's ``Tape`` plus
 every backward array that outlives one statement. The caller owns it:
@@ -39,8 +39,9 @@ Three stability details:
 
 Trainable parameters live in a flat vector: the free entries of
 ``network.param_layout``, in ``RmdnParams`` field order (pinned entries
-excluded). The backward pass writes each field's gradient into that
-field's view of one layout-length array on the tape, and returns its free
+excluded). The tape holds one layout-length array and, built once with
+it, its ``RmdnParams`` of views (``ParamLayout.params``); the backward pass
+writes each field's gradient into its view and returns the array's free
 entries. Freezing the tanh nodes is a mask over that vector: their input
 weights and biases plus the output weights attached to them, across all
 three subnetworks.
@@ -89,7 +90,7 @@ def unflatten_params(theta: np.ndarray, config: RmdnConfig) -> RmdnParams:
         )
     flat = layout.pinned.copy()
     flat[layout.free] = theta
-    return RmdnParams(*layout.split(flat))
+    return layout.params(flat)
 
 
 def nonlinear_node_mask(config: RmdnConfig) -> np.ndarray:
@@ -137,9 +138,9 @@ class GradientTape(Tape):
     def __init__(self, n_components: int, k_hidden: int, t_len: int):
         super().__init__(n_components, k_hidden, t_len)
         n, k, t = n_components, k_hidden, t_len
-        (self.p_post, self.inv_s2, self.dl_dmu, self.dl_ds2, self.z, self.dpelu,
-         self.carry, self.gz, self.a, self.scan, self.glogit, self.gmu_tot) = (
-            np.empty((n, t)) for _ in range(12))
+        (self.p_post, self.inv_s2, self.dl_dmu, self.dl_ds2, self.dpelu, self.carry,
+         self.gz, self.a, self.scan, self.glogit, self.gmu_tot) = (
+            np.empty((n, t)) for _ in range(11))
         self.hs = np.empty((k, n, t))           # hidden nodes reading s2_prev
         self.dtanh_s = np.empty((k - 1, n, t))  # their tanh derivatives
         # numpy lays out the product ws.T[:, :, None] * gz that fills ghs in
@@ -149,6 +150,7 @@ class GradientTape(Tape):
         self.gmu_bar = np.empty(t)
         self.gh = np.empty((k, t))              # a hidden layer's adjoint
         self.grad = np.empty(param_layout(n, k).pinned.size)  # every entry, free or pinned
+        self.grads = param_layout(n, k).params(self.grad)     # its views, by field
 
 
 def gradient(series, params: RmdnParams, init: RecurrentState,
@@ -189,10 +191,10 @@ def gradient(series, params: RmdnParams, init: RecurrentState,
         dl_dmu = np.multiply(-p_post, tape.dl_dmu, out=tape.dl_dmu)  # -p_post * d * inv_s2
         dl_dmu *= inv_s2
 
-        # what only the gradient reads: the hidden nodes reading s2_prev, z, pelu'(z)
-        hs, z = _preactivation(tape.drive, tape.s2_prev, params, tape.hs, tape.z)
-        # where z > 0, expm1(0.0) + 1.0 is exactly 1.0; NaN stays NaN
-        dpelu = np.expm1(np.minimum(z, 0.0, out=tape.dpelu), out=tape.dpelu)
+        # what only the gradient reads: the hidden nodes reading s2_prev, and pelu'(z)
+        # from z in its array; where z > 0, expm1(0.0) + 1.0 is exactly 1.0, NaN stays NaN
+        hs, dpelu = _preactivation(tape.drive, tape.s2_prev, params, tape.hs, tape.dpelu)
+        np.expm1(np.minimum(dpelu, 0.0, out=dpelu), out=dpelu)
         dpelu += 1.0
         dtanh_s = np.square(hs[1:], out=tape.dtanh_s)  # (K-1, N, T)
         np.subtract(1.0, dtanh_s, out=dtanh_s)
@@ -219,7 +221,7 @@ def gradient(series, params: RmdnParams, init: RecurrentState,
                 a_flat[:-s] = np.multiply(a_flat[:-s], a_flat[s:], out=head)
             s *= 2
 
-        grads = RmdnParams(*layout.split(tape.grad))  # views of tape.grad, by field
+        grads = tape.grads
         # the squared-residual path does not recur: e2_prev[t+1] only feeds z[t+1]
         ghe = _hidden_backward(gz, tape.he, tape.e2_prev, params.var_out_w[:, :k], tape.gh,
                                (grads.var_in_w[:k], grads.var_in_b[:k], grads.var_out_w[:, :k],

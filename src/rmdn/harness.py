@@ -12,7 +12,9 @@ Divergence is a recorded outcome: runs that end in NaN or an unreasonable
 log-likelihood are counted as NotConverged, and per-method averages use
 converged runs only. Rendered reports contain no wall-clock data, so a
 benchmark rerun with the same meta seed (at any worker count) reproduces
-them byte for byte.
+them byte for byte; both formats read one table per series and method.
+A model file's ``params`` and ``state`` hold the fields of ``RmdnParams``
+and ``RecurrentState``, each read back by ``_float_array``.
 """
 
 from __future__ import annotations
@@ -171,13 +173,11 @@ def _write_model_file(path, **sections) -> None:
 
 def save_model(params: RmdnParams, config: RmdnConfig, state: RecurrentState,
                path) -> None:
-    """Write an RMDN model file: config, parameters and recurrent state."""
-    _write_model_file(
-        path,
-        config={**asdict(config), **_FILE_UNIT},
-        params={f.name: getattr(params, f.name).tolist() for f in fields(params)},
-        state={"sigma2_prev": state.sigma2_prev.tolist(), "e2_prev": state.e2_prev},
-    )
+    """Write an RMDN model file: config, parameters and recurrent state, the
+    last two as JSON numbers and lists by field name."""
+    _write_model_file(path, config={**asdict(config), **_FILE_UNIT}, **{
+        section: {f.name: np.asarray(getattr(obj, f.name)).tolist() for f in fields(obj)}
+        for section, obj in (("params", params), ("state", state))})
 
 
 def save_garch_model(params: GarchParams, loglik: float, path) -> None:
@@ -194,10 +194,15 @@ def _section(path, payload: dict, name: str) -> dict:
     return payload[name]
 
 
-def _float_array(path, name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """A JSON number, or nested lists of numbers, as a float array of ``shape``."""
+def _float_array(path, section: str, entries: dict, key: str,
+                 shape: tuple[int, ...]) -> np.ndarray:
+    """The entry ``key`` of the model file's ``section``: a JSON number, or
+    nested lists of numbers, as a float array of ``shape``."""
+    name = f"{section}.{key}"
+    if key not in entries:
+        raise ModelFileError(f"{path}: missing field {name}")
     try:
-        raw = np.asarray(value)
+        raw = np.asarray(entries[key])
         numeric = raw.dtype.kind in "iuf"  # not bool, str or a mix holding null
     except ValueError:  # ragged lists
         numeric = False
@@ -243,46 +248,53 @@ def load_model(path) -> tuple[RmdnParams, RmdnConfig, RecurrentState]:
         raise ModelFileError(f"{path}: config.{exc}") from None
 
     layout = param_layout(config.n_components, config.k_hidden)
-    arrays = []
-    for f, want in zip(fields(RmdnParams), layout.shapes):
-        if f.name not in params_in:
-            raise ModelFileError(f"{path}: missing field params.{f.name}")
-        arrays.append(_float_array(path, f"params.{f.name}", params_in[f.name], want))
-    params = RmdnParams(*arrays)
-
-    for key in ("sigma2_prev", "e2_prev"):
-        if key not in st:
-            raise ModelFileError(f"{path}: missing field state.{key}")
-    sigma2_prev = _float_array(path, "state.sigma2_prev", st["sigma2_prev"],
-                               (config.n_components,))
-    e2_prev = _float_array(path, "state.e2_prev", st["e2_prev"], ())
+    params = RmdnParams(*(_float_array(path, "params", params_in, f.name, shape)
+                          for f, shape in zip(fields(RmdnParams), layout.shapes)))
+    shapes = {"sigma2_prev": (config.n_components,), "e2_prev": ()}
+    state = RecurrentState(**{f.name: _float_array(path, "state", st, f.name, shapes[f.name])
+                              for f in fields(RecurrentState)})
     # NaN is data (a diverged model's state), so only a number out of range is refused
-    if np.any(sigma2_prev <= 0):
+    if np.any(state.sigma2_prev <= 0):
         raise ModelFileError(f"{path}: state.sigma2_prev must hold positive variances")
-    if e2_prev < 0:
+    if state.e2_prev < 0:
         raise ModelFileError(f"{path}: state.e2_prev must not be negative")
-    return params, config, RecurrentState(sigma2_prev, e2_prev)
+    return params, config, state
 
 
-def _fmt_avg(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.2f}"
+def _cell(value, spec: str = "") -> str:
+    """A report cell: ``value`` formatted by ``spec``, or n/a for None."""
+    return "n/a" if value is None else format(value, spec)
+
+
+def _row(label: str, cells, widths, spec: str = "") -> str:
+    """A text-report row: the label in 20 columns, each cell right-aligned."""
+    return f"{label:<20}" + "".join(f"{_cell(c, spec):>{w}}" for c, w in zip(cells, widths))
 
 
 def render_report(report: BenchmarkReport, format: str = "text") -> str:
-    """Render the benchmark as a human-readable text table pair or as CSV."""
+    """Render the benchmark as a human-readable text table pair or as CSV,
+    both from one table: (not converged, converged, average log-likelihood
+    or None) per series and method."""
+    if format not in ("text", "csv"):
+        raise ValueError(f"unknown report format {format!r}")
+    names = report.series_names()
+    table = {(series, method): (*report.counts(series, method),
+                                report.average_loglik(series, method))
+             for series in names for method in ALL_METHODS}
     if format == "csv":
         lines = ["series,method,n_runs,n_not_converged,n_converged,avg_loglik"]
-        for series in report.series_names():
-            for method in ALL_METHODS:
-                nc, c = report.counts(series, method)
-                avg = report.average_loglik(series, method)
-                avg_str = "n/a" if avg is None else repr(avg)
-                lines.append(f"{series},{method},{nc + c},{nc},{c},{avg_str}")
+        lines += [",".join(map(_cell, (series, method, nc + c, nc, c, avg)))
+                  for (series, method), (nc, c, avg) in table.items()]
         return "\n".join(lines) + "\n"
-    if format != "text":
-        raise ValueError(f"unknown report format {format!r}")
 
-    echo = report.config_echo
+    counts = {series: (*table[series, METHOD_PLAIN][:2], *table[series, METHOD_PRETRAINED][:2])
+              for series in names}
+    total = [sum(row[i] for row in counts.values()) for i in range(4)]
+    wholes = [sum(total[:2])] * 2 + [sum(total[2:])] * 2  # runs per arm
+    shares = [f"{100.0 * part / whole:.0f}%" if whole else None
+              for part, whole in zip(total, wholes)]
+    echo, arms = report.config_echo, (METHOD_GARCH, METHOD_PRETRAINED, METHOD_PLAIN)
+    count_w, avg_w = (14, 12, 16, 12), (14, 14, 14)  # column widths after the series label
     lines = [
         "configuration: "
         + " ".join(f"{k}={echo[k]}" for k in ("n_components", "k_hidden", "learning_rate",
@@ -290,40 +302,16 @@ def render_report(report: BenchmarkReport, format: str = "text") -> str:
         f"seeds: {echo['seeds']}",
         "",
         "In-sample convergence counts",
-        f"{'series':<20}{'plain':>14}{'':>12}{'pretrained':>16}{'':>12}",
-        f"{'':<20}{'NotConverged':>14}{'Converged':>12}{'NotConverged':>16}{'Converged':>12}",
-    ]
-    total = {m: [0, 0] for m in RMDN_METHODS}
-    for series in report.series_names():
-        row = f"{series:<20}"
-        for method in (METHOD_PLAIN, METHOD_PRETRAINED):
-            nc, c = report.counts(series, method)
-            total[method][0] += nc
-            total[method][1] += c
-            width = (14, 12) if method == METHOD_PLAIN else (16, 12)
-            row += f"{nc:>{width[0]}}{c:>{width[1]}}"
-        lines.append(row)
-    t_plain, t_pre = total[METHOD_PLAIN], total[METHOD_PRETRAINED]
-    lines.append(f"{'Total':<20}{t_plain[0]:>14}{t_plain[1]:>12}{t_pre[0]:>16}{t_pre[1]:>12}")
-
-    def pct(part, whole):
-        return f"{100.0 * part / whole:.0f}%" if whole else "n/a"
-
-    n_plain = sum(t_plain)
-    n_pre = sum(t_pre)
-    lines.append(
-        f"{'Total%':<20}{pct(t_plain[0], n_plain):>14}{pct(t_plain[1], n_plain):>12}"
-        f"{pct(t_pre[0], n_pre):>16}{pct(t_pre[1], n_pre):>12}"
-    )
-    lines += [
+        _row("series", (METHOD_PLAIN, "", METHOD_PRETRAINED, ""), count_w),
+        _row("", ("NotConverged", "Converged") * 2, count_w),
+        *(_row(series, row, count_w) for series, row in counts.items()),
+        _row("Total", total, count_w),
+        _row("Total%", shares, count_w),
         "",
         "Average log-likelihood over converged runs",
-        f"{'series':<20}{'garch':>14}{'pretrained':>14}{'plain':>14}",
+        _row("series", arms, avg_w),
+        *(_row(series, [table[series, m][2] for m in arms], avg_w, ".2f") for series in names),
+        "",
+        "averages use converged runs only; n/a = no converged runs",
     ]
-    for series in report.series_names():
-        row = f"{series:<20}"
-        for method in (METHOD_GARCH, METHOD_PRETRAINED, METHOD_PLAIN):
-            row += f"{_fmt_avg(report.average_loglik(series, method)):>14}"
-        lines.append(row)
-    lines += ["", "averages use converged runs only; n/a = no converged runs"]
     return "\n".join(lines) + "\n"

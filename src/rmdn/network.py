@@ -50,7 +50,8 @@ that embedding explicitly.
 For identifiability, the linear hidden node of each subnetwork is pinned to
 the identity (input weight 1, bias 0). Pinned entries are excluded from the
 trainable parameter set. ``param_layout`` is the one table of which entries
-are pinned, which are trainable and which belong to tanh nodes.
+are pinned, which are trainable and which belong to tanh nodes; its
+``params`` views a layout-length vector as ``RmdnParams``.
 
 Presample conventions (shared with the GARCH baseline so the nested models
 agree step by step): the input return before the sample starts is 0, the
@@ -145,14 +146,15 @@ class ParamLayout(NamedTuple):
     """
 
     shapes: tuple[tuple[int, ...], ...]
-    slices: tuple[slice, ...]
     free: np.ndarray
     pinned: np.ndarray
     tanh: np.ndarray
 
-    def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of a full-length vector, one per field, in field shape."""
-        return [flat[s].reshape(shape) for s, shape in zip(self.slices, self.shapes)]
+    def params(self, flat: np.ndarray) -> RmdnParams:
+        """The fields as views of a full-length vector, each in its shape."""
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes])
+        return RmdnParams(*(part.reshape(shape)
+                            for part, shape in zip(np.split(flat, ends[:-1]), self.shapes)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -169,17 +171,11 @@ def param_layout(n_components: int, k_hidden: int) -> ParamLayout:
         parts[f"{net}_out_w"] = (np.ones((n, width), bool), np.zeros((n, width)), out_tanh)
         parts[f"{net}_out_b"] = (np.ones(n, bool), np.zeros(n), np.zeros(n, bool))
     names = [f.name for f in fields(RmdnParams)]
-    shapes, slices, pos = [], [], 0
-    for name in names:
-        size = parts[name][0].size
-        shapes.append(parts[name][0].shape)
-        slices.append(slice(pos, pos + size))
-        pos += size
     free, pinned, tanh = (np.concatenate([parts[name][i].ravel() for name in names])
                           for i in range(3))
     for arr in (free, pinned, tanh):
         arr.flags.writeable = False
-    return ParamLayout(tuple(shapes), tuple(slices), free, pinned, tanh)
+    return ParamLayout(tuple(parts[name][0].shape for name in names), free, pinned, tanh)
 
 
 @dataclass
@@ -440,12 +436,6 @@ def unroll(series, params: RmdnParams, config: RmdnConfig,
             RecurrentState(sigma2[:, -1].copy(), e2[-1]))
 
 
-def _zeros_params(config: RmdnConfig) -> RmdnParams:
-    """Pinned entries at their fixed values, every other entry 0."""
-    layout = param_layout(config.n_components, config.k_hidden)
-    return RmdnParams(*layout.split(layout.pinned.copy()))
-
-
 def init_params(config: RmdnConfig, seed: int, scheme: str = "pretrain") -> RmdnParams:
     """Seeded parameter initialization.
 
@@ -468,7 +458,8 @@ def init_params(config: RmdnConfig, seed: int, scheme: str = "pretrain") -> Rmdn
         raise ValueError(f"unknown init scheme {scheme!r}; expected one of {SCHEMES}")
     n = config.n_components
     rng = np.random.default_rng(seed)
-    p = _zeros_params(config)
+    layout = param_layout(n, config.k_hidden)
+    p = layout.params(layout.pinned.copy())  # pinned entries fixed, the rest 0
 
     u_lin = rng.uniform(-0.5, 0.5, n)
     v_lin = rng.uniform(-0.5, 0.5, n)
@@ -480,8 +471,7 @@ def init_params(config: RmdnConfig, seed: int, scheme: str = "pretrain") -> Rmdn
     p.mix_out_w[:, 0] = u_lin
     p.mean_out_w[:, 0] = v_lin
 
-    layout = param_layout(n, config.k_hidden)
-    tanh = RmdnParams(*layout.split(layout.tanh))  # per-field tanh-node masks
+    tanh = layout.params(layout.tanh)  # per-field tanh-node masks
     if scheme == "plain":
         for w, b, node in ((p.mix_in_w, p.mix_in_b, tanh.mix_in_w),
                            (p.mean_in_w, p.mean_in_b, tanh.mean_in_w),
@@ -509,7 +499,8 @@ def params_from_garch(garch_params, config: RmdnConfig) -> RmdnParams:
     if config.n_components != 1:
         raise ValueError("the nested GARCH embedding requires n_components == 1")
     k = config.k_hidden
-    p = _zeros_params(config)
+    layout = param_layout(1, k)
+    p = layout.params(layout.pinned.copy())
     p.mean_out_w[0, 0] = garch_params.a1
     p.mean_out_b[0] = garch_params.a0
     p.var_out_w[0, 0] = garch_params.alpha1

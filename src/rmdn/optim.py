@@ -131,7 +131,7 @@ def train(series, params: RmdnParams, config: RmdnConfig, schedule: TrainSchedul
     theta = flatten_params(params, config)
     layout = param_layout(config.n_components, config.k_hidden)
     flat = layout.pinned.copy()
-    epoch_params = RmdnParams(*layout.split(flat))  # views of flat, by field
+    epoch_params = layout.params(flat)  # views of flat, by field
     state = AdamState.fresh(theta.size, schedule.learning_rate)
     trace: list[float] = []
     epochs_completed = schedule.total_epochs

@@ -84,7 +84,7 @@ def param_view(flat, cfg):
     layout = param_layout(cfg.n_components, cfg.k_hidden)
     full = np.zeros(layout.free.size)
     full[layout.free] = flat
-    return RmdnParams(*layout.split(full))
+    return layout.params(full)
 
 
 def random_params(n, k, seed):
@@ -262,7 +262,7 @@ def gradient_cases(draw, max_len=40, bias=(-3.0, 3.0), zero_tanh=False):
     p = init_params(cfg, draw(st.integers(0, 50000)), draw(st.sampled_from(SCHEMES)))
     p.var_out_b[:] = draw(st.lists(st.floats(*bias), min_size=n, max_size=n))
     if zero_tanh:
-        node = RmdnParams(*param_layout(n, k).split(param_layout(n, k).tanh)).var_out_w
+        node = param_layout(n, k).params(param_layout(n, k).tanh).var_out_w
         size = int(node.sum())
         zero = draw(st.lists(st.booleans(), min_size=size, max_size=size))
         p.var_out_w[node] = np.where(zero, 0.0, p.var_out_w[node])

@@ -17,7 +17,7 @@ from rmdn.harness import (ALL_METHODS, METHOD_GARCH, METHOD_PLAIN,
 from rmdn.mixture import nll
 from rmdn.network import (SCHEMES, RecurrentState, RmdnConfig, RmdnParams,
                           init_params, initial_state, unroll)
-from rmdn.optim import CONVERGED, NOT_CONVERGED, TrainSchedule
+from rmdn.optim import CONVERGED, NOT_CONVERGED, TrainSchedule, classify_convergence
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -354,6 +354,66 @@ class TestRender:
         for line in csv_text.strip().splitlines()[1:]:
             if f",{METHOD_PRETRAINED}," in line or f",{METHOD_PLAIN}," in line:
                 assert line.endswith(",n/a")
+
+    def test_golden_report_bytes(self):
+        """Both formats, byte for byte, of a hand-built report: three series,
+        one name longer than the 20-character column, NaN runs, a run below
+        the -100000 floor, a series with no converged RMDN run and a GARCH
+        fit that failed. Every log-likelihood is a dyadic fraction, so each
+        average's sum is exact and its digits do not depend on the host."""
+        runs = {
+            "garch-path": {METHOD_GARCH: [-1402.5],
+                           METHOD_PRETRAINED: [-1400.25, -1399.75, math.nan],
+                           METHOD_PLAIN: [-1401.5, -250000.0, -1398.0]},
+            "two-regime-mixture-long-name": {METHOD_GARCH: [-1600.125],
+                                             METHOD_PRETRAINED: [math.nan, math.nan],
+                                             METHOD_PLAIN: [-150000.5, math.nan]},
+            "a": {METHOD_GARCH: [math.nan], METHOD_PRETRAINED: [-1.0, -2.0, -2.0],
+                  METHOD_PLAIN: [-2.75]},
+        }
+        records = [RunRecord(series, method, None if method == METHOD_GARCH else seed, ll,
+                             classify_convergence(ll), 0 if method == METHOD_GARCH else 320, 0.5)
+                   for series, arms in runs.items() for method, lls in arms.items()
+                   for seed, ll in enumerate(lls)]
+        echo = {"n_components": 2, "k_hidden": 3, "learning_rate": 0.01, "pretrain_epochs": 20,
+                "train_epochs": 300, "meta_seed": 42, "seeds": [0, 1, 2]}
+        report = BenchmarkReport(records, echo)
+        text = [
+            "configuration: n_components=2 k_hidden=3 learning_rate=0.01 pretrain_epochs=20"
+            " train_epochs=300 meta_seed=42",
+            "seeds: [0, 1, 2]",
+            "",
+            "In-sample convergence counts",
+            "series                       plain                  pretrained            ",
+            "                      NotConverged   Converged    NotConverged   Converged",
+            "a                                0           1               0           3",
+            "garch-path                       1           2               1           2",
+            "two-regime-mixture-long-name             2           0               2           0",
+            "Total                            3           3               3           5",
+            "Total%                         50%         50%             38%         62%",
+            "",
+            "Average log-likelihood over converged runs",
+            "series                       garch    pretrained         plain",
+            "a                              n/a         -1.67         -2.75",
+            "garch-path                -1402.50      -1400.00      -1399.75",
+            "two-regime-mixture-long-name      -1600.12           n/a           n/a",
+            "",
+            "averages use converged runs only; n/a = no converged runs",
+        ]
+        csv = [
+            "series,method,n_runs,n_not_converged,n_converged,avg_loglik",
+            "a,pretrained,3,0,3,-1.6666666666666667",
+            "a,plain,1,0,1,-2.75",
+            "a,garch,1,1,0,n/a",
+            "garch-path,pretrained,3,1,2,-1400.0",
+            "garch-path,plain,3,1,2,-1399.75",
+            "garch-path,garch,1,0,1,-1402.5",
+            "two-regime-mixture-long-name,pretrained,2,2,0,n/a",
+            "two-regime-mixture-long-name,plain,2,2,0,n/a",
+            "two-regime-mixture-long-name,garch,1,0,1,-1600.125",
+        ]
+        assert render_report(report, "text") == "\n".join(text) + "\n"
+        assert render_report(report, "csv") == "\n".join(csv) + "\n"
 
     def test_unknown_format_rejected(self):
         report = self.make_report([-1.0], [-1.0])
