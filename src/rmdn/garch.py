@@ -119,10 +119,16 @@ def garch_filter(series, params: GarchParams) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma2
 
 
+def _gaussian_nll(e2: np.ndarray, sigma2: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_t 0.5*(log 2pi + log sigma2_t + e2_t * inv_s2_t), and inv_s2 = 1 / sigma2."""
+    inv_s2 = 1.0 / sigma2
+    return float(0.5 * np.sum(LOG_2PI + np.log(sigma2) + e2 * inv_s2)), inv_s2
+
+
 def garch_nll(series, params: GarchParams) -> float:
     """Negative log-likelihood sum_t 0.5*(log 2pi + log sigma2_t + e2_t/sigma2_t)."""
     _, _, _, e2, _, sigma2, _ = _filtered(series, params)
-    return float(0.5 * np.sum(LOG_2PI + np.log(sigma2) + e2 / sigma2))
+    return _gaussian_nll(e2, sigma2)[0]
 
 
 def _unconstrain(params: GarchParams, e2_0: float) -> np.ndarray:
@@ -157,8 +163,7 @@ def _nll_grad_unconstrained(theta: np.ndarray, values: np.ndarray,
     r_prev, _, e, e2, e2_prev, sigma2, band = _recursion(values, a0, a1, alpha0, alpha1,
                                                          beta1, init_var, e2_0)
 
-    inv_s2 = 1.0 / sigma2
-    loss = float(0.5 * np.sum(LOG_2PI + np.log(sigma2) + e2 * inv_s2))
+    loss, inv_s2 = _gaussian_nll(e2, sigma2)
     if not np.isfinite(loss):
         return loss, np.full(5, np.nan)
 

@@ -12,14 +12,14 @@ squared-residual path, the loss itself) is vectorized over time too. The
 mixing network, the mean network and the squared-residual side of the
 variance network are each a hidden layer over one scalar input per step,
 with one hidden-layer step each way: ``network._hidden_layer`` forward and
-``_hidden_backward`` back. Like
-``forward_pass``, every adjoint is component-major, (N, T) or (K, T), so
-reductions over components and hidden nodes are elementwise over rows.
-The forward pass does not keep what only the gradient reads: ``gradient``
-rebuilds the hidden nodes reading the previous variance and the variance
-pre-activation z from the tape's ``drive`` and ``s2_prev``, with
-``network._preactivation``, turns z into pelu'(z) in place, and reads the
-residuals r - mu and their squares from ``mixture.log_joint``.
+``_hidden_backward`` back. Like ``forward_pass``, every adjoint is
+component-major, (N, T) or (K, T), so reductions over components and hidden
+nodes are elementwise over rows. The forward pass does not keep what only
+the gradient reads: ``gradient`` rebuilds the hidden nodes reading the
+previous variance from ``s2_prev``, reads pelu'(z) from the variances, as
+tanh' from the nodes, and the residuals r - mu and their squares from
+``mixture.log_joint``. It never rebuilds z, whose order of summation is
+``network``'s alone.
 
 Both passes write into a ``GradientTape``: the forward pass's ``Tape`` plus
 every backward array that outlives one statement. The caller owns it:
@@ -54,8 +54,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .mixture import _as_values, log_joint, nll
-from .network import (ELU_EPS, RecurrentState, RmdnConfig, RmdnParams, Tape,
-                      _preactivation, forward_pass, param_layout, unroll)
+from .network import (ELU_EPS, RecurrentState, RmdnConfig, RmdnParams, Tape, _hidden_batch,
+                      forward_pass, param_layout, unroll)
 
 # finite_diff_check's step h, and how often it halves h where a bump crosses the kink
 _FD_STEP = 1e-5
@@ -191,11 +191,11 @@ def gradient(series, params: RmdnParams, init: RecurrentState,
         dl_dmu = np.multiply(-p_post, tape.dl_dmu, out=tape.dl_dmu)  # -p_post * d * inv_s2
         dl_dmu *= inv_s2
 
-        # what only the gradient reads: the hidden nodes reading s2_prev, and pelu'(z)
-        # from z in its array; where z > 0, expm1(0.0) + 1.0 is exactly 1.0, NaN stays NaN
-        hs, dpelu = _preactivation(tape.drive, tape.s2_prev, params, tape.hs, tape.dpelu)
-        np.expm1(np.minimum(dpelu, 0.0, out=dpelu), out=dpelu)
-        dpelu += 1.0
+        # what only the gradient reads: the hidden nodes reading s2_prev, and pelu'(z) =
+        # min(sigma2 - eps, 1), from the output as tanh' is from h. The sum - (1 + eps) + 1
+        # is exactly 1 on the linear branch; the clip keeps underflow >= 0, NaN as NaN
+        hs = _hidden_batch(tape.s2_prev, params.var_in_w[k:], params.var_in_b[k:], tape.hs)
+        dpelu = np.clip(tape.sigma2 - (1.0 + ELU_EPS) + 1.0, 0.0, 1.0, out=tape.dpelu)
         dtanh_s = np.square(hs[1:], out=tape.dtanh_s)  # (K-1, N, T)
         np.subtract(1.0, dtanh_s, out=dtanh_s)
 

@@ -19,7 +19,9 @@ and ``RecurrentState``, each read back by ``_float_array``.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import time
@@ -141,6 +143,9 @@ def run_benchmark(series_list, n_seeds: int, config: RmdnConfig | None = None,
         raise ValueError("need at least one series")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    names = [series.name for series in series_list]
+    if len(set(names)) < len(names):  # their runs would share seeds and one report row
+        raise ValueError(f"two series are named {max(names, key=names.count)!r}; rename one")
     config = config or RmdnConfig()
     schedule = schedule or TrainSchedule()
     seeds = sample_seeds(n_seeds, 0, 50000, meta_seed=meta_seed)
@@ -282,10 +287,12 @@ def render_report(report: BenchmarkReport, format: str = "text") -> str:
                                 report.average_loglik(series, method))
              for series in names for method in ALL_METHODS}
     if format == "csv":
-        lines = ["series,method,n_runs,n_not_converged,n_converged,avg_loglik"]
-        lines += [",".join(map(_cell, (series, method, nc + c, nc, c, avg)))
-                  for (series, method), (nc, c, avg) in table.items()]
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(  # quotes a name holding , or "
+            [("series", "method", "n_runs", "n_not_converged", "n_converged", "avg_loglik"),
+             *(map(_cell, (series, method, nc + c, nc, c, avg))
+               for (series, method), (nc, c, avg) in table.items())])
+        return out.getvalue()
 
     counts = {series: (*table[series, METHOD_PLAIN][:2], *table[series, METHOD_PRETRAINED][:2])
               for series in names}

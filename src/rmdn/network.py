@@ -26,15 +26,14 @@ step before the variance network runs; ``forward_pass`` evaluates all of
 that at once and loops only over N independent scalar variance recursions.
 Their steps fold the pinned linear node into one coefficient and skip the
 tanh nodes ``_variances`` names; the loop body is generated once per count
-of live tanh nodes and yields only the variances. ``_preactivation`` is its
-pre-activation over whole (N, T) arrays, every tanh node included.
+of live tanh nodes and yields only the variances.
 
 Two passes run the one stage sequence, ``_stages``. ``forward_pass`` has
 it write the gradient's ``Tape``: every intermediate the backward pass
-reads, among them the s2-independent part of each pre-activation
-(``drive``), from which the gradient rebuilds the rest. The tape belongs to
-whoever allocates it: ``optim.train`` allocates one per run and every epoch
-overwrites it in place, so an epoch allocates only expression temporaries;
+reads, and the loop's input, the s2-independent part of each
+pre-activation (``drive``). The tape belongs to whoever allocates it:
+``optim.train`` allocates one per run and every epoch overwrites it in
+place, so an epoch allocates only expression temporaries;
 a one-shot call gets a fresh one. ``unroll`` is the scoring pass: it passes
 no tape, keeps only the mixture and the final recurrent state, and drops
 each intermediate once the next stage has read it. The per-component
@@ -266,7 +265,8 @@ class Tape:
     the backward pass's arrays. Time is the last axis of every array:
     column t belongs to step t. The arrays only the backward pass reads,
     the hidden nodes reading s2_prev and the output unit's derivative, are
-    not here: ``gradient`` rebuilds them from ``drive`` and ``s2_prev``.
+    not here: ``gradient`` builds the nodes from ``s2_prev`` and reads the
+    derivative from ``sigma2``.
     Scoring keeps none of it: ``unroll`` runs the same stages and keeps
     only the mixture. Nothing carries over from one call to the next, the
     lag-1 inputs included.
@@ -280,7 +280,7 @@ class Tape:
         self.hmu = np.empty((k, t))      # mean hidden activations
         self.mu = np.empty((n, t))
         self.he = np.empty((k, t))       # variance hidden nodes reading e2_prev
-        self.drive = np.empty((n, t))    # the pre-activation's terms that do not read s2_prev
+        self.drive = np.empty((n, t))    # the variance loop's input: z's terms not reading s2
         self.sigma2 = np.empty((n, t))
         self.e2_prev = np.empty(t)       # squared residual fed at each step
         self.s2_prev = np.empty((n, t))  # variances fed at each step
@@ -357,20 +357,6 @@ def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray,
     return sigma2
 
 
-def _preactivation(drive: np.ndarray, s2_prev: np.ndarray, params: RmdnParams,
-                   hs: np.ndarray | None = None, z: np.ndarray | None = None):
-    """``_variance_recursion``'s pre-activation z over (N, T) arrays, summed
-    in its order over every tanh node. Returns the hidden nodes reading
-    s2_prev (K, N, T) and z, each written into its array if given."""
-    k = params.k_hidden
-    ws = params.var_out_w[:, k:]
-    hs = _hidden_batch(s2_prev, params.var_in_w[k:], params.var_in_b[k:], hs)
-    z = np.add(drive, np.multiply(ws[:, :1] * params.var_in_w[k], s2_prev, out=z), out=z)
-    for j in range(1, k):
-        z += ws[:, j:j + 1] * hs[j]
-    return hs, z
-
-
 def _stages(values: np.ndarray, params: RmdnParams, init: RecurrentState,
             tape: Tape | None = None) -> tuple[np.ndarray, ...]:
     """The stages of a forward pass, in order: the lag-1 inputs (presample
@@ -392,7 +378,7 @@ def _stages(values: np.ndarray, params: RmdnParams, init: RecurrentState,
         e2 = _residuals(values, eta, mu, arrays.get("resid"))
         # the linear node reading s2 folds in: at the pinned a0 = 1, b0 = 0,
         # w0 * (a0 * s2 + b0) is bit for bit w0 * b0, here, plus (w0 * a0) * s2,
-        # which ``_variances`` and ``_preactivation`` add
+        # which ``_variances`` adds
         bias = params.var_out_b + params.var_out_w[:, k] * params.var_in_b[k]
         drive = _hidden_layer(lagged(init.e2_prev, e2, arrays.get("e2_prev")), params.var_in_w[:k],
                               params.var_in_b[:k], params.var_out_w[:, :k], bias,

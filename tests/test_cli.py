@@ -176,6 +176,20 @@ class TestBenchmark:
             )
         assert outputs[1] == outputs[2]
 
+    def test_files_of_one_name_are_an_error(self, garch_csv, tmp_path, capsys):
+        """Two files named x.csv in different directories would pool their
+        runs into one row ``x``; the benchmark refuses them and writes no
+        report."""
+        for folder, path in (("a", garch_csv), ("b", garch_csv)):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "x.csv").write_bytes(path.read_bytes())
+        code = main(["benchmark", "--seeds", "1", "--pretrain-epochs", "0", "--epochs", "1",
+                     "--out", str(tmp_path / "rep"), str(tmp_path / "a" / "x.csv"),
+                     str(tmp_path / "b" / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: two series are named 'x'")
+        assert not list(tmp_path.glob("rep*"))
+
     def test_zero_input_files_is_usage_error(self):
         result = run_cli(["benchmark", "--seeds", "1"])
         assert result.returncode == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rmdn.garch import GarchParams, simulate_garch
-from rmdn.gradients import (apply_mask, finite_diff_check, flatten_params,
+from rmdn.gradients import (GradientTape, apply_mask, finite_diff_check, flatten_params,
                             gradient, n_trainable, nonlinear_node_mask,
                             unflatten_params)
 from rmdn.network import (SCHEMES, RecurrentState, RmdnConfig, RmdnParams,
@@ -336,17 +336,23 @@ class TestGradientProperties:
             assert math.isnan(loss) and np.all(np.isnan(grads))
 
 
-def loop_variances(p, cfg, init, he):
-    """The variances of the oracle's sequential loop, which evaluates every
-    node reading the previous variance and the linear one as
-    ``w0 * (a0 * s2 + b0)``, fed the drive ``forward_pass`` computes from
-    its e2-side hidden activations ``he``."""
+def loop_recursion(p, cfg, init, he):
+    """The pre-activations and the variances, each (N, T), of the oracle's
+    sequential loop, which evaluates every node reading the previous
+    variance and the linear one as ``w0 * (a0 * s2 + b0)``, fed the drive
+    ``forward_pass`` computes from its e2-side hidden activations ``he``."""
     k = cfg.k_hidden
     drive = p.var_out_w[:, :k] @ he + p.var_out_b[:, None]
-    return np.array([time_major_reference.variance_recursion(
+    runs = [time_major_reference.variance_recursion(
         drive[i].tolist(), float(init.sigma2_prev[i]), p.var_out_w[i, k:].tolist(),
         p.var_in_w[k:].tolist(), p.var_in_b[k:].tolist(), time_major_reference.ALPHA,
-        1.0 + time_major_reference.EPS)[1] for i in range(cfg.n_components)])
+        1.0 + time_major_reference.EPS) for i in range(cfg.n_components)]
+    return np.array([z for z, _ in runs]), np.array([s2 for _, s2 in runs])
+
+
+def loop_variances(p, cfg, init, he):
+    """The variances of ``loop_recursion``."""
+    return loop_recursion(p, cfg, init, he)[1]
 
 
 def overflow_case():
@@ -520,6 +526,43 @@ def test_finite_loss_with_non_finite_gradient_is_returned_silently(case):
         warnings.simplefilter("error", RuntimeWarning)
         loss, grads = gradient(values, p, initial_state(values, cfg))
     assert np.isfinite(loss) and not np.all(np.isfinite(grads))
+
+
+class TestPeluDerivative:
+    """``gradient`` reads pelu'(z) = min(e^z, 1) from the variances it
+    leaves on its tape, not from z: it lies in [0, 1] and within 4.5e-16
+    of the oracle's expm1(z) + 1 (1 where z > 0), on both branches, deep in
+    the saturating one and at an infinite variance. The oracle's formula
+    reads the z of the loop that gave those variances: the oracle's own
+    forward pass sums the drive in another order, and e^z carries the
+    rounding of its z. A NaN variance makes the loss NaN, and ``gradient``
+    returns before it takes pelu' (``test_extreme_inputs_neither_raise_nor_warn``)."""
+
+    @staticmethod
+    def check(values, p, cfg):
+        init = initial_state(values, cfg)
+        tape = GradientTape(cfg.n_components, cfg.k_hidden, values.size)
+        loss, _ = gradient(values, p, init, tape)
+        assert math.isfinite(loss)
+        z, sigma2 = loop_recursion(p, cfg, init, tape.he)
+        assert np.array_equal(tape.sigma2, sigma2)
+        dpelu = tape.dpelu
+        assert np.all((0.0 <= dpelu) & (dpelu <= 1.0))
+        assert np.all(np.abs(dpelu - time_major_reference.pelu_derivative(z)) <= 4.5e-16)
+        return tape
+
+    # biases down to -40 put pre-activations far below the kink, where
+    # e^z is below the rounding of 1 + eps
+    @given(gradient_cases(max_len=60, bias=(-40.0, 3.0), zero_tanh=True))
+    @example(live_node_case(4, 4))  # both branches
+    @settings(deadline=None, max_examples=40)
+    def test_matches_the_oracle(self, case):
+        self.check(*case)
+
+    def test_infinite_variance(self):
+        tape = self.check(*trained_past_overflow())
+        assert np.isinf(tape.sigma2).any()
+        assert np.all(tape.dpelu[np.isinf(tape.sigma2)] == 1.0)
 
 
 class TestFiniteDiffCheck:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from dataclasses import fields
@@ -132,6 +134,16 @@ class TestRunBenchmark:
         gp = GarchParams(0.0, 0.0, 0.05, 0.10, 0.80)
         with pytest.raises(ValueError):
             run_benchmark([simulate_garch(gp, 100, seed=1)], 0)
+
+    def test_repeated_series_name_rejected(self, monkeypatch):
+        """Series that share a name would draw the same run seeds and pool
+        into one report row, so no run starts."""
+        monkeypatch.setattr(harness, "_run_task", lambda task: pytest.fail("a run started"))
+        gp = GarchParams(0.0, 0.0, 0.05, 0.10, 0.80)
+        series = [simulate_garch(gp, 100, seed=seed, name=name)
+                  for seed, name in ((1, "x"), (2, "y"), (3, "x"))]
+        with pytest.raises(ValueError, match="two series are named 'x'"):
+            run_benchmark(series, 1, RmdnConfig(1, 1), TrainSchedule(1, 1, 0.02))
 
     def test_constant_series_gives_not_converged_garch_record(self):
         for values in [np.zeros(100)] + [np.full(80, v) for v in (0.3, 0.1, 1 / 3,
@@ -347,6 +359,17 @@ class TestRender:
         assert float(parsed[METHOD_PRETRAINED][3]) == pytest.approx(-105.0)
         assert parsed[METHOD_PLAIN] == (1, 0, 1, repr(-120.0))
         assert parsed[METHOD_GARCH][:3] == (1, 0, 1)
+
+    def test_csv_quotes_names_holding_separators(self):
+        """A series name holding a comma or a double quote reads back whole
+        through ``csv.reader``."""
+        report = self.make_report([-100.0], [-120.0])
+        for record in report.records:
+            record.series = "a,b" if record.method == METHOD_PLAIN else 'say "hi"'
+        rows = list(csv.reader(io.StringIO(render_report(report, "csv"))))
+        assert [len(row) for row in rows] == [6] * 7
+        assert ["a,b", METHOD_PLAIN, "1", "0", "1", "-120.0"] in rows
+        assert {row[0] for row in rows[1:]} == {"a,b", 'say "hi"'}
 
     def test_csv_na_for_empty(self):
         report = self.make_report([math.nan], [math.nan])

@@ -40,6 +40,12 @@ def variance_recursion(drive, s2, out_w, in_w, in_b, alpha, one_eps):
     return zs, s2s
 
 
+def pelu_derivative(z, alpha=ALPHA):
+    """pelu'(z) from the pre-activations: 1 where z > 0, else alpha * e^z,
+    taken as alpha * expm1(z) + alpha."""
+    return np.where(z > 0.0, 1.0, alpha * np.expm1(np.minimum(z, 0.0)) + alpha)
+
+
 def adjoint_recursion(dl_ds2, dpelu, carry):
     """One component's adjoint over Python floats,
     gz_t = (dl_ds2_t + carry_{t+1} * gz_{t+1}) * dpelu_t with gz_T = 0.
@@ -100,7 +106,7 @@ def forward_pass(values, params, config, init):
                 params.var_out_w[i, k:].tolist(), in_w, in_b, alpha, one_eps)
         s2_prev = lag_rows(init.sigma2_prev, sigma2)
         hs = hidden_rows(s2_prev, params.var_in_w[k:], params.var_in_b[k:])
-        dpelu = np.where(z > 0.0, 1.0, alpha * np.expm1(np.minimum(z, 0.0)) + alpha)
+        dpelu = pelu_derivative(z, alpha)
     return dict(inputs=inputs, hm=hm, eta=eta, hmu=hmu, mu=mu, he=he, hs=hs,
                 dpelu=dpelu, sigma2=sigma2, e2_prev=e2_prev, s2_prev=s2_prev, resid=resid)
 
