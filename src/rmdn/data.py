@@ -1,9 +1,10 @@
 """Return-series ingestion and synthetic process generators.
 
-CSV is the only ingestion format: UTF-8, comma-delimited, header row
-required, decimal point values. Loaders reject non-finite values so every
-series handed to a model satisfies the ReturnSeries invariants. All
-generators are deterministic functions of their seed.
+CSV is the only ingestion format: UTF-8 (with or without a byte-order mark),
+comma-delimited, header row required, decimal point values. Loaders reject
+non-finite values so every series handed to a model satisfies the
+ReturnSeries invariants. All generators are deterministic functions of
+their seed.
 """
 
 from __future__ import annotations
@@ -53,21 +54,18 @@ def load_csv(path, value_column: str = "return", label_column: str | None = None
     Errors name the offending column or row (header is row 1).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if value_column not in header:
-            raise ParseError(f"{path}: value column {value_column!r} not found in header {header}")
+        for kind, column in (("value", value_column), ("label", label_column)):
+            if column is not None and column not in header:
+                raise ParseError(f"{path}: {kind} column {column!r} not found in header {header}")
         v_idx = header.index(value_column)
-        l_idx = None
-        if label_column is not None:
-            if label_column not in header:
-                raise ParseError(f"{path}: label column {label_column!r} not found in header {header}")
-            l_idx = header.index(label_column)
+        l_idx = None if label_column is None else header.index(label_column)
 
         values: list[float] = []
         labels: list[str] = []

@@ -54,7 +54,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .mixture import _as_values, log_joint, nll
-from .network import (ELU_EPS, RecurrentState, RmdnConfig, RmdnParams, Tape, _hidden_batch,
+from .network import (PELU_OFFSET, RecurrentState, RmdnConfig, RmdnParams, Tape, _hidden_batch,
                       forward_pass, param_layout, unroll)
 
 # finite_diff_check's step h, and how often it halves h where a bump crosses the kink
@@ -195,7 +195,7 @@ def gradient(series, params: RmdnParams, init: RecurrentState,
         # min(sigma2 - eps, 1), from the output as tanh' is from h. The sum - (1 + eps) + 1
         # is exactly 1 on the linear branch; the clip keeps underflow >= 0, NaN as NaN
         hs = _hidden_batch(tape.s2_prev, params.var_in_w[k:], params.var_in_b[k:], tape.hs)
-        dpelu = np.clip(tape.sigma2 - (1.0 + ELU_EPS) + 1.0, 0.0, 1.0, out=tape.dpelu)
+        dpelu = np.clip(tape.sigma2 - PELU_OFFSET + 1.0, 0.0, 1.0, out=tape.dpelu)
         dtanh_s = np.square(hs[1:], out=tape.dtanh_s)  # (K-1, N, T)
         np.subtract(1.0, dtanh_s, out=dtanh_s)
 
@@ -291,13 +291,12 @@ def finite_diff_check(series, params: RmdnParams, config: RmdnConfig,
     values = _as_values(series)
     _, analytic = gradient(values, params, init)
     theta = flatten_params(params, config)
-    one_eps = 1.0 + ELU_EPS
 
     def nll_and_branches(i, offset):
         bumped = theta.copy()
         bumped[i] += offset
         path, _ = unroll(values, unflatten_params(bumped, config), config, init)
-        return nll(values, path), path.sigma2 > one_eps
+        return nll(values, path), path.sigma2 > PELU_OFFSET
 
     branches = nll_and_branches(0, 0.0)[1]
 

@@ -72,8 +72,10 @@ from .mixture import MixturePath, _as_values
 
 SCHEMES = ("pretrain", "plain")
 
-# the variance unit's positive offset: pelu(x) = elu(x) + 1 + ELU_EPS
+# pelu(x) = elu(x) + 1 + ELU_EPS adds PELU_OFFSET, the sum 1 + ELU_EPS rounded once
 ELU_EPS = 1e-6
+PELU_OFFSET = 1.0 + ELU_EPS
+_expm1 = np.vectorize(math.expm1, otypes=[float])  # the variance loop's expm1, per value
 
 
 @dataclass(frozen=True)
@@ -194,10 +196,11 @@ def positive_elu(x, alpha: float, eps: float):
 
     Continuous at 0 and strictly positive for every finite x when alpha <= 1
     (the saturation value for x -> -inf is 1 - alpha + eps). The model's
-    variance unit is ``positive_elu(x, 1.0, ELU_EPS)``.
+    variance unit is ``positive_elu(x, 1.0, ELU_EPS)``, bit for bit on every
+    float: it runs the variance loop's arithmetic, ``math.expm1`` included.
     """
     x = np.asarray(x, dtype=float)
-    out = np.where(x > 0.0, x, alpha * np.expm1(np.minimum(x, 0.0))) + (1.0 + eps)
+    out = np.where(x > 0.0, x, alpha * _expm1(np.minimum(x, 0.0))) + (1.0 + eps)
     return float(out) if out.ndim == 0 else out
 
 
@@ -339,7 +342,6 @@ def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray,
     every node."""
     n, t_len = drive.shape
     k = params.k_hidden
-    one_eps = 1.0 + ELU_EPS
     ws, in_w, in_b = params.var_out_w[:, k:], params.var_in_w[k:], params.var_in_b[k:]
     if sigma2 is None:
         sigma2 = np.empty_like(drive)
@@ -351,7 +353,7 @@ def _variances(drive: np.ndarray, params: RmdnParams, s2_0: np.ndarray,
                     for x in (w, a, b)]
             loop = _variance_recursion(len(live) // 3)
             sigma2[i] = np.fromiter(loop(memoryview(drive[i]), float(s2_0[i]),
-                                         float(ws[i, 0] * in_w[0]), *live, one_eps), float, t_len)
+                                         float(ws[i, 0] * in_w[0]), *live, PELU_OFFSET), float, t_len)
             if not (math.isinf(s2_0[i]) or np.isinf(sigma2[i]).any()):
                 break
     return sigma2
@@ -491,5 +493,6 @@ def params_from_garch(garch_params, config: RmdnConfig) -> RmdnParams:
     p.mean_out_b[0] = garch_params.a0
     p.var_out_w[0, 0] = garch_params.alpha1
     p.var_out_w[0, k] = garch_params.beta1
+    # not alpha0 - PELU_OFFSET: subtracting 1 and eps in turn rounds differently
     p.var_out_b[0] = garch_params.alpha0 - 1.0 - ELU_EPS
     return p

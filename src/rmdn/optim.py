@@ -81,8 +81,8 @@ class TrainSchedule:
             raise ValueError("pretrain_epochs must be >= 0")
         if self.train_epochs < 1:
             raise ValueError("train_epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails both comparisons
+            raise ValueError("learning_rate must be finite and positive")
 
     @property
     def total_epochs(self) -> int:

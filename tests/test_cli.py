@@ -140,6 +140,10 @@ class TestFit:
         assert result.returncode == 2
         assert "row 2" in result.stderr
 
+    def test_infinite_learning_rate_exit_2(self, garch_csv, capsys):
+        assert main(["fit", "--model", "rmdn", "--epochs", "1", "--lr", "inf", str(garch_csv)]) == 2
+        assert "learning_rate must be finite and positive" in capsys.readouterr().err
+
     def test_garch_on_identical_values_exit_2(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         flat.write_text("return\n" + "0.3\n" * 80)

@@ -50,6 +50,15 @@ class TestCsv:
         s = load_csv(path, label_column="date")
         assert s.labels == ["2020-01-01", "2020-01-02"]
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        """Excel's "CSV UTF-8" starts the file with a byte-order mark, which
+        must not become part of the first header."""
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,return\n2020-01-01,0.01\n2020-01-02,-0.02\n")
+        s = load_csv(path, label_column="date")
+        np.testing.assert_array_equal(s.values, [0.01, -0.02])
+        assert s.labels == ["2020-01-01", "2020-01-02"]
+
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("ret\n0.01\n")

@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rmdn.garch import GarchParams, garch_filter, simulate_garch
 from rmdn.mixture import MixturePath, nll
-from rmdn.network import (ELU_EPS, RecurrentState, RmdnConfig, forward_pass,
-                          init_params, initial_state, params_from_garch,
+from rmdn.network import (ELU_EPS, RecurrentState, RmdnConfig, _variances, forward_pass,
+                          init_params, initial_state, param_layout, params_from_garch,
                           positive_elu, unroll)
 
 import time_major_reference
@@ -94,6 +94,49 @@ class TestPositiveElu:
         out = positive_elu(np.array([-1.0, 0.0, 1.0]), 1.0, 1e-6)
         assert out.shape == (3,)
         assert np.all(out > 0)
+
+
+def loop_unit(drive: np.ndarray) -> np.ndarray:
+    """The model's variance loop run on ``drive`` alone: one component, no
+    tanh node and a zero linear coefficient, so while the variances stay
+    finite each step's z is its drive (-0.0 aside, which becomes +0.0) and
+    its output is pelu(z)."""
+    layout = param_layout(1, 1)
+    params = layout.params(layout.pinned.copy())
+    return _variances(drive.reshape(1, -1), params, np.array([1.0]))[0]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-for-bit equality, any NaN matching any NaN."""
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+class TestPositiveEluIsTheLoop:
+    """``positive_elu(z, 1.0, ELU_EPS)`` is the variance loop's unit bit for
+    bit: it takes the loop's ``math.expm1``, not numpy's CPU-dispatched
+    ``np.expm1``, whose last bit differs on about 2% of negative inputs."""
+
+    @given(st.one_of(st.floats(), st.floats(-10.0, 3.0).map(lambda u: -math.exp(u))))
+    @example(0.0)
+    @example(-0.0)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(-2.2250738585072014e-308)
+    @example(-0.5375940392835145)  # np.expm1 misses math.expm1's last bit here
+    @example(-1.4222149975585778)  # under numpy's AVX-512 dispatch
+    @settings(deadline=None)
+    def test_equals_one_loop_step(self, z):
+        unit = np.array([positive_elu(z, 1.0, ELU_EPS)])
+        assert same_bits(unit, loop_unit(np.array([z])))
+
+    def test_equals_loop_on_saturating_draws(self):
+        z = -np.exp(np.random.default_rng(0).uniform(-10.0, 3.0, 100_000))
+        assert same_bits(positive_elu(z, 1.0, ELU_EPS), loop_unit(z))
 
 
 class TestConfig:

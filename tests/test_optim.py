@@ -87,6 +87,9 @@ class TestSchedule:
             TrainSchedule(train_epochs=0)
         with pytest.raises(ValueError):
             TrainSchedule(learning_rate=0.0)
+        for rate in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                TrainSchedule(learning_rate=rate)
 
 
 PROBE = GarchParams(0.0, 0.0, 0.05, 0.10, 0.85)
